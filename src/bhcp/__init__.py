@@ -55,7 +55,7 @@ from .methods import (
     assemble,
     residual,
 )
-from .pint import solve_pint, step_b_parallel
+from .pint import solve_pint
 from .space import (
     LaplacianOperator,
     SingularShiftError,

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .circulant import TimeGrid
-from .space import LaplacianOperator, SpatialGrid
+from .space import BATCH_BYTES, LaplacianOperator, SpatialGrid
 
 
 class MethodKind(enum.Enum):
@@ -155,19 +155,35 @@ class AllAtOnceSystem:
     def omega(self) -> Optional[float]:
         return self.method.omega(self.timegrid.tau)
 
+    def condition_rhs(self) -> np.ndarray:
+        """Right-hand side of the final-condition row: the scaled data.
+
+        This is level 0 of rhs(), the only level that is not zero.
+        """
+        return self.data / self.method.condition_divisor(self.timegrid.tau)
+
     def rhs(self) -> np.ndarray:
         """Stacked right-hand side: scaled data in block 0, zeros elsewhere."""
         out = np.zeros((self.n_levels, self.n_space))
-        out[0] = self.data / self.method.condition_divisor(self.timegrid.tau)
+        out[0] = self.condition_rhs()
         return out.ravel()
 
     def apply(self, states: np.ndarray) -> np.ndarray:
-        """Operator action on stacked states; shape of the input is kept."""
+        """Operator action on stacked states; shape of the input is kept.
+
+        The Laplacian levels are a trailing range (all levels for the pint
+        kinds, all but level 0 for the classic ones). The stencil is
+        subtracted from that range in place, a batch of levels at a time, so
+        the only full-size array made is the result.
+        """
         states = np.asarray(states)
         flat = states.ndim == 1
         mat = states.reshape(self.n_levels, self.n_space)
         out = self.time_coupling @ mat
-        out[self.lap_levels] -= self.laplacian.apply(mat[self.lap_levels])
+        first = self.n_levels - int(np.count_nonzero(self.lap_levels))
+        batch = max(1, BATCH_BYTES // mat[0].nbytes)
+        for lo in range(first, self.n_levels, batch):
+            out[lo : lo + batch] -= self.laplacian.apply(mat[lo : lo + batch])
         return out.ravel() if flat else out
 
     def sparse(self) -> scipy.sparse.csr_matrix:
@@ -242,9 +258,12 @@ def residual(system: AllAtOnceSystem, states: np.ndarray) -> tuple[np.ndarray, f
     The relative norm is reported in the h**(dim/2)-weighted discrete norm;
     the weight is uniform so it cancels in the ratio.
     """
-    rhs = system.rhs()
-    vec = rhs - system.apply(np.asarray(states).ravel())
-    return vec, float(np.linalg.norm(vec) / np.linalg.norm(rhs))
+    # rhs is zero off level 0, so rhs - A y is formed in place from A y.
+    vec = system.apply(np.asarray(states).ravel())
+    np.negative(vec, out=vec)
+    level0 = system.condition_rhs()
+    vec[: system.n_space] += level0
+    return vec, float(np.linalg.norm(vec) / np.linalg.norm(level0))
 
 
 @dataclass

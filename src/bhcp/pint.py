@@ -2,75 +2,35 @@
 
 Applies only to the circulant method kinds. Writing the system as
 (1/tau) C⊗I - I⊗lap and factoring C = V diag(d) V^{-1} turns the coupled
-solve into three steps: rotate the right-hand side into the eigenbasis along
-the time axis (one batched FFT), solve one complex-shifted spatial problem
-per time level (all independent), and rotate back (one more FFT plus a
-realness check). The spatial solves go through space.shifted_solve, so the
-whole solver runs in O(n_space * n_levels * (log n_levels + log M)) with the
-default spectral backend.
+solve into three steps on one time-major (n_levels, n_space) complex block:
+
+- Step A rotates the right-hand side into the eigenbasis. It is nonzero only
+  on level 0, and V^{-1} e_0 = 1/sqrt(N+1) because gamma_0 = 1, so every
+  rotated level is the same field rhs_0 / sqrt(N+1): no time FFT is needed.
+- Step B solves (d_j/tau - lap) x_j = that field for every level j. omega is
+  a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
+  a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
+  solved, by batched calls of space.shifted_solve; the rest are conjugates.
+- Step C rotates back with one in-place FFT along the time axis plus the
+  realness check (circulant.from_eigenspace), and builds the real trajectory
+  in the block's own memory.
+
+The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
+its peak memory is the complex block, about two trajectories.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 import numpy as np
 
-from .circulant import diagonalize, from_eigenspace, to_eigenspace
+from .circulant import diagonalize, from_eigenspace
 from .methods import AllAtOnceSystem, SolveResult
-from .space import SingularShiftError, SpatialGrid, shifted_solve
+from .space import BATCH_BYTES, shifted_solve
 
 
-def step_b_parallel(
-    grid: SpatialGrid,
-    block: np.ndarray,
-    shifts: np.ndarray,
-    backend: str = "spectral",
-    workers: Optional[int] = None,
-) -> np.ndarray:
-    """Solve (shifts[j] I - lap) x_j = block[:, j] for every column j.
-
-    The columns are independent, so they may run on a thread pool (workers
-    sets the pool size; None means serial). Each column is a pure function of
-    its own inputs, which makes the result bit-identical for any worker count
-    or execution order.
-
-    Raises:
-        SingularShiftError: some column's shift hits the spectrum of the
-            Laplacian; the message names the offending column.
-    """
-    block = np.asarray(block)
-    shifts = np.atleast_1d(shifts)
-    if block.ndim != 2 or block.shape[1] != shifts.shape[0]:
-        raise ValueError(
-            f"need one shift per column, got block {block.shape} and "
-            f"{shifts.shape[0]} shifts"
-        )
-
-    def solve_column(j: int) -> np.ndarray:
-        try:
-            return shifted_solve(grid, shifts[j], block[:, j], backend=backend)
-        except SingularShiftError as exc:
-            raise SingularShiftError(f"column {j}: {exc}") from exc
-
-    out = np.empty(block.shape, dtype=np.complex128)
-    if workers is None:
-        for j in range(shifts.shape[0]):
-            out[:, j] = solve_column(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for j, column in enumerate(pool.map(solve_column, range(shifts.shape[0]))):
-                out[:, j] = column
-    return out
-
-
-def solve_pint(
-    system: AllAtOnceSystem,
-    backend: str = "spectral",
-    workers: Optional[int] = None,
-) -> SolveResult:
+def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     """Solve a circulant-kind all-at-once system by FFT diagonalization.
 
     Records per-phase wall clock under timings["step_a"/"step_b"/"step_c"]
@@ -83,20 +43,25 @@ def solve_pint(
             f"{system.method.kind.value} has no circulant time coupling; "
             f"use the sparse baseline"
         )
-    tau = system.timegrid.tau
-    diag = diagonalize(system.n_levels, system.omega)
+    n_levels, n_space = system.n_levels, system.n_space
+    diag = diagonalize(n_levels, system.omega)
 
     start = time.perf_counter()
-    rhs_block = system.rhs().reshape(system.n_levels, system.n_space)
-    s1 = to_eigenspace(rhs_block.T, diag)
+    field = system.condition_rhs() / np.sqrt(n_levels)
     t_a = time.perf_counter()
 
-    s2 = step_b_parallel(
-        system.grid, s1, diag.eigenvalues / tau, backend=backend, workers=workers
-    )
+    block = np.empty((n_levels, n_space), dtype=np.complex128)
+    shifts = diag.eigenvalues / system.timegrid.tau
+    half = (n_levels + 1) // 2
+    batch = max(1, BATCH_BYTES // block[0].nbytes)
+    for lo in range(0, half, batch):
+        hi = min(lo + batch, half)
+        block[lo:hi] = shifted_solve(system.grid, shifts[lo:hi], field)
+    # Levels half..N are the conjugates of levels N-half..0, in that order.
+    np.conjugate(block[n_levels - 1 - half :: -1], out=block[half:])
     t_b = time.perf_counter()
 
-    trajectory = np.ascontiguousarray(from_eigenspace(s2, diag).T)
+    trajectory = from_eigenspace(block, diag, overwrite=True)
     t_c = time.perf_counter()
 
     timings = {

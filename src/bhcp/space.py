@@ -20,6 +20,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 
+# Target size of one batch of time levels when a solver works through a
+# space-time block level by level: big enough to amortize per-call overhead,
+# small enough that a batch's temporaries stay in cache.
+BATCH_BYTES = 2 * 1024**2
+
+
 class SingularShiftError(ArithmeticError):
     """A shifted operator s*I - lap is numerically singular for this grid."""
 
@@ -153,7 +159,7 @@ class SpatialSpectrum:
     order in 2D (tensor outer sum, C order).
 
     The transform is the orthonormal DST-I per axis; it is involutory, so
-    forward and inverse are the same map.
+    :meth:`transform` is also its own inverse.
     """
 
     grid: SpatialGrid
@@ -175,9 +181,6 @@ class SpatialSpectrum:
         out = scipy.fft.dst(square, type=1, norm="ortho", axis=-1)
         out = scipy.fft.dst(out, type=1, norm="ortho", axis=-2)
         return out.reshape(field.shape)
-
-    # DST-I with orthonormal weights is its own inverse.
-    inverse = transform
 
     def mode(self, index) -> np.ndarray:
         """Orthonormal discrete sine mode as a flat interior-node vector.
@@ -220,70 +223,77 @@ def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:
     )
 
 
-def sine_transform(grid: SpatialGrid, field: np.ndarray, direction: str = "forward"):
-    """Orthonormal sine transform of an interior-node field.
-
-    ``direction`` is "forward" or "inverse"; the transform is involutory so
-    both directions apply the same map, the argument only documents intent.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+def sine_transform(grid: SpatialGrid, field: np.ndarray) -> np.ndarray:
+    """Orthonormal sine transform of an interior-node field; its own inverse."""
     return laplacian_eigenvalues(grid).transform(field)
 
 
-def _check_shifts(shifts: np.ndarray, mode_mu: np.ndarray) -> None:
-    """Reject shifts s for which some |s + mu_k| is negligibly small."""
-    shifts = np.atleast_1d(shifts)
-    denom_min = np.min(
-        np.abs(shifts[:, None] + mode_mu[None, :]), axis=1
-    )
-    bad = denom_min <= 1e-14 * np.abs(shifts)
+def _check_shifts(shifts: np.ndarray, denominators: np.ndarray) -> None:
+    """Reject shifts s for which some |s + mu_k| is negligibly small.
+
+    Row j of ``denominators`` holds shifts[j] + mu_k over all modes k.
+    """
+    bad = np.min(np.abs(denominators), axis=1) <= 1e-14 * np.abs(shifts)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise SingularShiftError(
-            f"shift {shifts[j]} lies within 1e-14*|s| of an eigenvalue of the "
-            f"Laplacian; the shifted operator is numerically singular"
+            f"shift {j} ({shifts[j]}) lies within 1e-14*|s| of an eigenvalue "
+            f"of the Laplacian; the shifted operator is numerically singular"
         )
 
 
 def shifted_solve(
     grid: SpatialGrid,
-    shift: complex,
+    shift: complex | np.ndarray,
     rhs: np.ndarray,
     backend: str = "spectral",
 ) -> np.ndarray:
-    """Solve (shift*I - lap) x = rhs on the grid's interior nodes.
+    """Solve (s*I - lap) x = rhs on the grid's interior nodes, for each shift s.
 
-    The default backend divides sine-transform coefficients by (shift + mu_k),
-    which is exact up to roundoff and costs O(N log M). The "banded" backend
-    runs a direct banded/sparse elimination instead (tridiagonal in 1D) and
-    exists as an independent cross-check and for cost comparisons.
+    ``shift`` is one complex number or a 1-D array of k of them. The result
+    has the shape of ``rhs`` for a single shift and shape (k, n_interior),
+    one solution per row, for an array.
 
-    Real inputs are promoted to complex internally; the result is returned
-    real when both the shift and the right-hand side are real.
+    The default backend transforms rhs once, divides its sine coefficients
+    by (s + mu_k) for all shifts in one broadcast, and transforms all rows
+    back in one batched call: exact up to roundoff, O(k N log M). The
+    "banded" backend runs one direct banded/sparse elimination per shift
+    (tridiagonal in 1D) and exists as an independent cross-check and for
+    cost comparisons.
+
+    The result is real when every shift and the right-hand side are real,
+    complex otherwise.
 
     Raises:
-        SingularShiftError: some |shift + mu_k| is below 1e-14*|shift|.
+        SingularShiftError: some |s + mu_k| is below 1e-14*|s|; the message
+            names the index of the first such shift.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (grid.n_interior,):
         raise ValueError(f"rhs must have shape ({grid.n_interior},), got {rhs.shape}")
+    if backend not in ("spectral", "banded"):
+        raise ValueError(f"unknown backend {backend!r}")
+    shifts = np.asarray(shift)
+    if shifts.ndim > 1:
+        raise ValueError(f"shift must be a scalar or 1-D, got shape {shifts.shape}")
+    real_data = not np.any(np.imag(shifts)) and not np.iscomplexobj(rhs)
+    shifts = np.atleast_1d(shifts).astype(np.float64 if real_data else np.complex128)
     spectrum = laplacian_eigenvalues(grid)
-    shift = complex(shift)
-    _check_shifts(np.array([shift]), spectrum.mode_eigenvalues)
-    real_data = shift.imag == 0.0 and not np.iscomplexobj(rhs)
+    denominators = np.add.outer(shifts, spectrum.mode_eigenvalues)
+    _check_shifts(shifts, denominators)
 
     if backend == "spectral":
-        coeffs = spectrum.transform(rhs.astype(np.complex128))
-        out = spectrum.inverse(coeffs / (shift + spectrum.mode_eigenvalues))
-    elif backend == "banded":
-        out = _banded_solve(grid, shift, rhs.astype(np.complex128))
+        np.divide(spectrum.transform(rhs), denominators, out=denominators)
+        out = spectrum.transform(denominators)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return out.real if real_data else out
+        out = np.stack([_banded_solve(grid, s, rhs) for s in shifts])
+        if real_data:
+            out = out.real
+    return out if np.ndim(shift) else out[0]
 
 
 def _banded_solve(grid: SpatialGrid, shift: complex, rhs: np.ndarray) -> np.ndarray:
+    rhs = rhs.astype(np.complex128)
     inv_h2 = 1.0 / grid.h**2
     m = grid.num_cells - 1
     if grid.dim == 1:

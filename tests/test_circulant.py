@@ -114,7 +114,7 @@ def test_eigenvector_relation():
 def test_basis_and_inverse_basis_are_inverses():
     diag = diagonalize(6, -3.0)
     v = diag.basis_matrix()
-    v_inv = diag.apply_inverse_basis(np.eye(6)).T
+    v_inv = diag.apply_inverse_basis(np.eye(6))
     assert np.allclose(v @ v_inv, np.eye(6), atol=1e-12 * diag.condition_gamma)
 
 
@@ -122,17 +122,17 @@ def test_to_eigenspace_matches_dense_product():
     diag = diagonalize(4, -0.7)
     v_inv = dense_fourier(4) @ np.diag(diag.gamma)
     rng = np.random.default_rng(7)
-    row = rng.standard_normal((1, 4))
-    assert np.allclose(to_eigenspace(row, diag), row @ v_inv.T, atol=1e-12)
+    column = rng.standard_normal((4, 1))
+    assert np.allclose(to_eigenspace(column, diag), v_inv @ column, atol=1e-12)
 
 
 def test_from_eigenspace_matches_dense_product():
     diag = diagonalize(4, -0.7)
     v = np.diag(1.0 / diag.gamma) @ dense_fourier(4).conj()
     rng = np.random.default_rng(9)
-    row = rng.standard_normal((1, 4))
-    coeffs = to_eigenspace(row, diag)
-    dense = (coeffs @ v.T).real
+    column = rng.standard_normal((4, 1))
+    coeffs = to_eigenspace(column, diag)
+    dense = (v @ coeffs).real
     assert np.allclose(from_eigenspace(coeffs, diag), dense, atol=1e-12)
 
 
@@ -140,10 +140,10 @@ def test_omega_one_reduces_to_plain_dft():
     diag = diagonalize(8, 1.0)
     assert np.allclose(diag.gamma, np.ones(8))
     rng = np.random.default_rng(13)
-    block = rng.standard_normal((3, 8))
+    block = rng.standard_normal((8, 3))
     assert np.allclose(
         to_eigenspace(block, diag),
-        np.fft.ifft(block, axis=-1, norm="ortho"),
+        np.fft.ifft(block, axis=0, norm="ortho"),
         atol=1e-13,
     )
 
@@ -152,7 +152,7 @@ def test_omega_one_reduces_to_plain_dft():
 def test_round_trip(omega):
     diag = diagonalize(8, omega)
     rng = np.random.default_rng(21)
-    block = rng.standard_normal((5, 8))
+    block = rng.standard_normal((8, 5))
     back = from_eigenspace(to_eigenspace(block, diag), diag)
     scale = max(abs(omega), 1 / abs(omega))
     assert np.linalg.norm(back - block) <= 1e-10 * scale * np.linalg.norm(block)
@@ -160,16 +160,47 @@ def test_round_trip(omega):
 
 def test_round_trip_preserves_real_dtype_and_layout():
     diag = diagonalize(8, -2.0)
-    block = np.arange(16.0).reshape(2, 8)
+    block = np.arange(16.0).reshape(8, 2)
     back = from_eigenspace(to_eigenspace(block, diag), diag)
+    assert back.shape == block.shape
     assert back.dtype == np.float64
     assert back.flags["C_CONTIGUOUS"]
+
+
+def test_from_eigenspace_leaves_its_input_unchanged():
+    diag = diagonalize(8, -2.0)
+    rng = np.random.default_rng(41)
+    coeffs = to_eigenspace(rng.standard_normal((8, 3)), diag)
+    before = coeffs.copy()
+    from_eigenspace(coeffs, diag)
+    assert np.array_equal(coeffs, before)
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (9, 3), (9,)])
+def test_from_eigenspace_overwrite_reuses_the_block(shape):
+    diag = diagonalize(9, -0.3)
+    rng = np.random.default_rng(43)
+    coeffs = to_eigenspace(rng.standard_normal(shape), diag)
+    expected = from_eigenspace(coeffs, diag)
+    got = from_eigenspace(coeffs, diag, overwrite=True)
+    assert np.shares_memory(got, coeffs)
+    assert got.shape == shape
+    assert got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got, expected)
+
+
+def test_from_eigenspace_overwrite_rejects_borrowed_memory():
+    diag = diagonalize(8, -2.0)
+    coeffs = to_eigenspace(np.ones((8, 4)), diag)
+    for bad in (coeffs[:, :2], np.asfortranarray(coeffs), coeffs.real.copy()):
+        with pytest.raises(ValueError):
+            from_eigenspace(bad, diag, overwrite=True)
 
 
 def test_imaginary_residue_raises():
     diag = diagonalize(8, 2.0)
     rng = np.random.default_rng(31)
-    garbage = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    garbage = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     with pytest.raises(ImaginaryResidueError):
         from_eigenspace(garbage, diag)
 
@@ -177,7 +208,9 @@ def test_imaginary_residue_raises():
 def test_transform_shape_checks():
     diag = diagonalize(8, 2.0)
     with pytest.raises(ValueError):
-        to_eigenspace(np.zeros((3, 7)), diag)
+        to_eigenspace(np.zeros((7, 3)), diag)
+    with pytest.raises(ValueError):
+        from_eigenspace(np.zeros((7, 3), dtype=complex), diag)
     with pytest.raises(ValueError):
         diagonalize(8, 0.0)
     with pytest.raises(ValueError):

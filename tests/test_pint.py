@@ -1,13 +1,20 @@
-"""The 3-step FFT solver against baselines, plus its parallel middle step."""
+"""The 3-step FFT solver against baselines, plus its batched middle step."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
-from bhcp.circulant import TimeGrid, diagonalize
+from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, to_eigenspace
 from bhcp.methods import MethodKind, assemble
-from bhcp.pint import solve_pint, step_b_parallel
-from bhcp.space import SingularShiftError, build_grid, laplacian_eigenvalues
+from bhcp.pint import solve_pint
+from bhcp.space import (
+    SingularShiftError,
+    build_grid,
+    laplacian_eigenvalues,
+    shifted_solve,
+)
 
 
 def pint_system(kind=MethodKind.PINT_QBVM, alpha=0.1, m=8, n=8, dim=1, seed=4):
@@ -84,32 +91,57 @@ def test_result_layout_and_timings():
     assert result.timings["total"] == pytest.approx(sum(steps), abs=1e-9)
 
 
-def test_worker_count_does_not_change_bits():
-    system = pint_system(alpha=1e-3)
-    serial = solve_pint(system).trajectory
-    threaded = solve_pint(system, workers=4).trajectory
-    assert np.array_equal(serial, threaded)
+@pytest.mark.parametrize("kind", [MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM])
+@pytest.mark.parametrize(
+    "dim, m, n", [(1, 12, 7), (1, 12, 8), (2, 6, 5), (2, 6, 6)]
+)
+def test_matches_per_level_banded_loop(kind, dim, m, n):
+    # Reference: full time FFT of rhs, one banded solve per level with its own
+    # eigenvalue, back FFT. It uses neither the closed-form step A nor the
+    # conjugate fill, and n steps give n + 1 levels, so both parities run.
+    system = pint_system(kind, alpha=1e-2, m=m, n=n, dim=dim)
+    diag = diagonalize(system.n_levels, system.omega)
+    rotated = to_eigenspace(
+        system.rhs().reshape(system.n_levels, system.n_space), diag
+    )
+    solved = np.stack([
+        shifted_solve(system.grid, d / system.timegrid.tau, level, backend="banded")
+        for d, level in zip(diag.eigenvalues, rotated)
+    ])
+    expected = from_eigenspace(solved, diag)
+    fast = solve_pint(system).trajectory
+    assert relative_gap(fast, expected) <= 1e-13 * diag.condition_gamma
+
+
+def test_repeat_calls_are_bitwise_identical():
+    system = pint_system(alpha=1e-3, m=16, n=9)
+    first = solve_pint(system).trajectory
+    second = solve_pint(system).trajectory
+    assert np.array_equal(first, second)
+
+
+def test_peak_memory_is_the_complex_block():
+    system = pint_system(m=128, n=64, dim=2)
+    solve_pint(system)
+    tracemalloc.start()
+    try:
+        trajectory = solve_pint(system).trajectory
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The complex block is twice the real trajectory, which then reuses its
+    # memory; batch temporaries of step B and C add a few MiB on top.
+    assert peak <= 3.0 * trajectory.nbytes
 
 
 def test_step_b_single_column():
-    from bhcp.space import shifted_solve
-
+    # a one-element shift vector gives the scalar solve as its only row
     grid = build_grid(1, np.pi, 8)
     rng = np.random.default_rng(6)
-    col = rng.standard_normal((7, 1))
-    out = step_b_parallel(grid, col, np.array([2.0 + 1.0j]))
-    assert np.allclose(out[:, 0], shifted_solve(grid, 2.0 + 1.0j, col[:, 0]))
-
-
-def test_step_b_serial_vs_parallel_bitwise():
-    grid = build_grid(1, np.pi, 16)
-    diag = diagonalize(9, -10.0)
-    rng = np.random.default_rng(7)
-    block = rng.standard_normal((15, 9)) + 1j * rng.standard_normal((15, 9))
-    shifts = diag.eigenvalues / 0.125
-    serial = step_b_parallel(grid, block, shifts)
-    threaded = step_b_parallel(grid, block, shifts, workers=3)
-    assert np.array_equal(serial, threaded)
+    rhs = rng.standard_normal(7)
+    out = shifted_solve(grid, np.array([2.0 + 1.0j]), rhs)
+    assert out.shape == (1, 7)
+    assert np.array_equal(out[0], shifted_solve(grid, 2.0 + 1.0j, rhs))
 
 
 def test_step_b_sine_mode_closed_form():
@@ -120,23 +152,26 @@ def test_step_b_sine_mode_closed_form():
     shifts = diag.eigenvalues / tau
     k = 3
     mode = spectrum.mode(k)
-    block = np.tile(mode[:, None], (1, 9)).astype(complex)
-    out = step_b_parallel(grid, block, shifts)
+    out = shifted_solve(grid, shifts, mode)
     mu = spectrum.eigenvalues[k - 1]
-    expected = mode[:, None] / (shifts[None, :] + mu)
+    expected = mode[None, :] / (shifts[:, None] + mu)
     assert np.allclose(out, expected, atol=1e-13)
 
 
 def test_step_b_reports_failing_column():
+    # vector-shift solves name the index of the offending shift
     grid = build_grid(1, np.pi, 8)
     mu1 = laplacian_eigenvalues(grid).eigenvalues[0]
     shifts = np.array([1.0, 2.0, -mu1, 4.0])
-    block = np.ones((7, 4), dtype=complex)
-    with pytest.raises(SingularShiftError, match="column 2"):
-        step_b_parallel(grid, block, shifts)
+    with pytest.raises(SingularShiftError, match="shift 2 "):
+        shifted_solve(grid, shifts, np.ones(7))
+    with pytest.raises(SingularShiftError, match="shift 2 "):
+        shifted_solve(grid, shifts, np.ones(7), backend="banded")
 
 
 def test_step_b_shape_check():
     grid = build_grid(1, np.pi, 8)
     with pytest.raises(ValueError):
-        step_b_parallel(grid, np.ones((7, 3)), np.ones(4))
+        shifted_solve(grid, np.ones((2, 3)), np.ones(7))
+    with pytest.raises(ValueError):
+        shifted_solve(grid, np.ones(3), np.ones((3, 7)))
