@@ -242,13 +242,18 @@ class ProblemSpec:
     initial-state norm (computed in closed form, not fitted).
     """
 
-    name: str
+    example: int
     dim: int
     length: float
     horizon: float
     e0: float
     solution: Callable[..., np.ndarray]
     series: SpectralCoefficients
+
+    @property
+    def name(self) -> str:
+        """Problem name, "ex" plus the example number."""
+        return f"ex{self.example}"
 
     def initial_on_grid(self, grid: SpatialGrid) -> np.ndarray:
         """Exact initial state at the grid's interior nodes, flattened."""
@@ -272,7 +277,7 @@ def _ex1_spec() -> ProblemSpec:
     sign = np.where(k % 4 == 1, 1.0, -1.0)
     initial_coeffs = sign * 8.0 / (np.sqrt(2.0 * np.pi) * k**2)
     return ProblemSpec(
-        name="ex1",
+        example=1,
         dim=1,
         length=np.pi,
         horizon=1.0,
@@ -289,7 +294,7 @@ def _ex1_spec() -> ProblemSpec:
 
 def _ex2_spec() -> ProblemSpec:
     return ProblemSpec(
-        name="ex2",
+        example=2,
         dim=2,
         length=np.pi,
         horizon=1.0,

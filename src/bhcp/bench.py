@@ -9,7 +9,7 @@ files dump the reconstruction next to the truth for plotting.
 
 Noise seeds are derived per (mesh, eps, repeat) cell, not per method, so
 every method within a cell sees the same realization and the columns stay
-comparable. Reruns with the same root seed reproduce everything but the cpu
+comparable. Reruns with the same root seed reproduce everything but the wall_*
 columns.
 """
 
@@ -32,7 +32,7 @@ from .space import SpatialGrid, build_grid
 
 CSV_COLUMNS = (
     "method,example,dim,M,N,eps,seed,delta,alpha,error_l2,residual,"
-    "cpu_total_s,cpu_stepA_s,cpu_stepB_s,cpu_stepC_s,status"
+    "wall_total_s,wall_stepA_s,wall_stepB_s,wall_stepC_s,status"
 )
 
 SOLVERS = ("pint", "sparse-lu", "spectral-oracle")
@@ -144,10 +144,10 @@ class SolveReport:
     alpha: float
     error_l2: float
     residual: float
-    cpu_total_s: float
-    cpu_stepA_s: float
-    cpu_stepB_s: float
-    cpu_stepC_s: float
+    wall_total_s: float
+    wall_stepA_s: float
+    wall_stepB_s: float
+    wall_stepC_s: float
     status: str
 
 
@@ -224,7 +224,7 @@ def _run_cell(
     nan = float("nan")
     report = SolveReport(
         method=kind.value,
-        example=int(problem.name[-1]),
+        example=problem.example,
         dim=grid.dim,
         M=grid.num_cells,
         N=timegrid.num_steps,
@@ -234,10 +234,10 @@ def _run_cell(
         alpha=nan,
         error_l2=nan,
         residual=nan,
-        cpu_total_s=nan,
-        cpu_stepA_s=nan,
-        cpu_stepB_s=nan,
-        cpu_stepC_s=nan,
+        wall_total_s=nan,
+        wall_stepA_s=nan,
+        wall_stepB_s=nan,
+        wall_stepC_s=nan,
         status="error",
     )
     try:
@@ -251,10 +251,10 @@ def _run_cell(
             result.initial_state, exact_initial, grid.h, grid.dim
         )
         report.residual = result.residual_norm()
-        report.cpu_total_s = result.timings.get("total", nan)
-        report.cpu_stepA_s = result.timings.get("step_a", nan)
-        report.cpu_stepB_s = result.timings.get("step_b", nan)
-        report.cpu_stepC_s = result.timings.get("step_c", nan)
+        report.wall_total_s = result.timings.get("total", nan)
+        report.wall_stepA_s = result.timings.get("step_a", nan)
+        report.wall_stepB_s = result.timings.get("step_b", nan)
+        report.wall_stepC_s = result.timings.get("step_c", nan)
         if config.profiles_dir is not None:
             emit_profile(
                 profile_path(config.profiles_dir, report),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .space import BATCH_BYTES
+from .space import WORKERS, map_level_batches
 
 
 class ImaginaryResidueError(ArithmeticError):
@@ -116,30 +116,40 @@ class CirculantDiagonalization:
     def apply_basis(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply V = Gamma^{-1} F^* along the leading (time) axis."""
         out = np.array(self._time_major(coeffs), dtype=np.complex128, order="C")
-        for _ in self._apply_basis_in_place(out):
-            pass
+        self._apply_basis_in_place(out)
         return out
 
-    def _apply_basis_in_place(self, block: np.ndarray):
+    def _apply_basis_in_place(self, block: np.ndarray, finish=None) -> list:
         """Overwrite a C-contiguous complex128 block with V @ block.
 
-        One FFT along the time axis, then Gamma^{-1} one batch of time levels
-        at a time. Yields each batch as a (size-of-batch, rest) view right
-        after scaling it, so a caller can finish with it while it is in
-        cache; the block is final once the generator is exhausted.
+        One FFT along the time axis on all CPUs, then Gamma^{-1} in batches
+        of time levels on the level-batch pool. The batches go in waves,
+        levels [0, 1), [1, 2), [2, 4), [4, 8), ..., each wave after the
+        whole previous one. ``finish(lo, hi)``, if given, runs right after
+        levels lo..hi-1 are scaled, while they are in cache; it may also
+        write over levels below the wave's start, which are final by then,
+        as long as batches write to disjoint places. Its results come back
+        in level order.
         """
-        fourier = scipy.fft.fft(block, axis=0, norm="ortho", overwrite_x=True)
+        fourier = scipy.fft.fft(
+            block, axis=0, norm="ortho", overwrite_x=True, workers=WORKERS
+        )
         if not np.may_share_memory(fourier, block):
             # scipy may decline to work in place; the result still goes here.
             block[...] = fourier
         del fourier
         rows = block.reshape(self.size, -1)
         inverse_gamma = 1.0 / self.gamma[:, None]
-        step = max(1, BATCH_BYTES // max(rows[0].nbytes, 1))
-        for lo in range(0, self.size, step):
-            batch = rows[lo : lo + step]
-            batch *= inverse_gamma[lo : lo + step]
-            yield batch
+
+        def scale(lo, hi):
+            rows[lo:hi] *= inverse_gamma[lo:hi]
+            return None if finish is None else finish(lo, hi)
+
+        results, lo, hi = [], 0, 1
+        while lo < self.size:
+            results += map_level_batches(scale, lo, hi, rows[0].nbytes)
+            lo, hi = hi, min(2 * hi, self.size)
+        return results
 
     def _time_major(self, block) -> np.ndarray:
         block = np.asarray(block)
@@ -244,20 +254,26 @@ def from_eigenspace(
             "overwrite=True needs a C-contiguous complex128 array that owns "
             "its memory"
         )
-    # Interleaved (real, imag) pairs. Each batch of levels is scaled, its
-    # norms are taken, and its real parts are packed down to the front of
-    # the buffer, which only overwrites levels that are already done.
-    flat = block.reshape(-1).view(np.float64)
+    # Interleaved (real, imag) pairs per level. Right after a batch of
+    # levels is scaled, its squared norms are taken and its real parts are
+    # packed down to the front of the buffer: level j's go into level j//2,
+    # which for j >= 1 is below the batch's wave and so already done.
+    pairs = block.reshape(shape[0], -1).view(np.float64)
+    packed = block.reshape(-1).view(np.float64)[:size].reshape(shape[0], -1)
+
+    def norms_and_pack(lo, hi):
+        batch = pairs[lo:hi].reshape(-1)
+        real, imag = batch[0::2], batch[1::2]
+        norms = float(real @ real), float(imag @ imag)
+        packed[lo:hi] = pairs[lo:hi, 0::2]
+        return norms
+
+    # Summed in level order, so the sums do not depend on the CPU count.
     real_sq = imag_sq = 0.0
-    done = 0
-    for batch in diag._apply_basis_in_place(block):
-        pairs = batch.reshape(-1).view(np.float64)
-        real, imag = pairs[0::2], pairs[1::2]
-        real_sq += float(real @ real)
-        imag_sq += float(imag @ imag)
-        flat[done : done + real.size] = real
-        done += real.size
-    del flat, pairs, real, imag, batch
+    for batch_real, batch_imag in diag._apply_basis_in_place(block, norms_and_pack):
+        real_sq += batch_real
+        imag_sq += batch_imag
+    del pairs, packed
     scale = np.sqrt(real_sq + imag_sq)
     residue = np.sqrt(imag_sq)
     if residue > tol * max(scale, np.finfo(float).tiny):

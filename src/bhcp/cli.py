@@ -150,7 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{report.method:>11} M={report.M:<5} N={report.N:<5} "
             f"eps={report.eps:<8g} delta={report.delta:.3e} "
             f"alpha={report.alpha:.3e} e_h={report.error_l2:.4f} "
-            f"cpu={report.cpu_total_s:.3f}s {report.status}"
+            f"wall={report.wall_total_s:.3f}s {report.status}"
         )
     print(f"# wrote {len(reports)} rows ({CSV_COLUMNS.count(',') + 1} columns) to {args.out}")
     return 1 if any(report.status == "error" for report in reports) else 0

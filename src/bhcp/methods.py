@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .circulant import TimeGrid
-from .space import BATCH_BYTES, LaplacianOperator, SpatialGrid
+from .space import LaplacianOperator, SpatialGrid, map_level_batches
 
 
 class MethodKind(enum.Enum):
@@ -173,17 +173,19 @@ class AllAtOnceSystem:
 
         The Laplacian levels are a trailing range (all levels for the pint
         kinds, all but level 0 for the classic ones). The stencil is
-        subtracted from that range in place, a batch of levels at a time, so
-        the only full-size array made is the result.
+        subtracted from that range in place, in batches of levels on the
+        level-batch pool, so the only full-size array made is the result.
         """
         states = np.asarray(states)
         flat = states.ndim == 1
         mat = states.reshape(self.n_levels, self.n_space)
         out = self.time_coupling @ mat
         first = self.n_levels - int(np.count_nonzero(self.lap_levels))
-        batch = max(1, BATCH_BYTES // mat[0].nbytes)
-        for lo in range(first, self.n_levels, batch):
-            out[lo : lo + batch] -= self.laplacian.apply(mat[lo : lo + batch])
+
+        def subtract_stencil(lo, hi):
+            out[lo:hi] -= self.laplacian.apply(mat[lo:hi])
+
+        map_level_batches(subtract_stencil, first, self.n_levels, mat[0].nbytes)
         return out.ravel() if flat else out
 
     def sparse(self) -> scipy.sparse.csr_matrix:

@@ -11,9 +11,13 @@ solve into three steps on one time-major (n_levels, n_space) complex block:
   a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
   a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
   solved, by batched calls of space.shifted_solve; the rest are conjugates.
+  The batches are independent and run on the level-batch pool.
 - Step C rotates back with one in-place FFT along the time axis plus the
   realness check (circulant.from_eigenspace), and builds the real trajectory
-  in the block's own memory.
+  in the block's own memory. The FFT runs on all CPUs, the rest on the pool.
+
+The pool spreads work over the CPUs the process may run on; the result is
+bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
 its peak memory is the complex block, about two trajectories.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .circulant import diagonalize, from_eigenspace
 from .methods import AllAtOnceSystem, SolveResult
-from .space import BATCH_BYTES, shifted_solve
+from .space import map_level_batches, shifted_solve
 
 
 def solve_pint(system: AllAtOnceSystem) -> SolveResult:
@@ -53,12 +57,18 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     block = np.empty((n_levels, n_space), dtype=np.complex128)
     shifts = diag.eigenvalues / system.timegrid.tau
     half = (n_levels + 1) // 2
-    batch = max(1, BATCH_BYTES // block[0].nbytes)
-    for lo in range(0, half, batch):
-        hi = min(lo + batch, half)
+    # The middle level of an odd level count is its own conjugate.
+    paired = n_levels - half
+
+    def solve_levels(lo, hi):
         block[lo:hi] = shifted_solve(system.grid, shifts[lo:hi], field)
-    # Levels half..N are the conjugates of levels N-half..0, in that order.
-    np.conjugate(block[n_levels - 1 - half :: -1], out=block[half:])
+        # Level N-j is the conjugate of level j.
+        top = min(hi, paired)
+        if lo < top:
+            mirror = block[n_levels - top : n_levels - lo]
+            np.conjugate(block[lo:top][::-1], out=mirror)
+
+    map_level_batches(solve_levels, 0, half, block[0].nbytes)
     t_b = time.perf_counter()
 
     trajectory = from_eigenspace(block, diag, overwrite=True)

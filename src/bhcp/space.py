@@ -6,11 +6,17 @@ values are eliminated, so a grid with M subdivisions per edge carries
 sine basis, which gives O(N log M) solves of (s*I - lap) for arbitrary
 complex shifts s. Those shifted solves are the spatial kernel of every
 solver in this package.
+
+The module also holds the level-batch pool: every batched pass over a
+time-major space-time block maps its batches of time levels through
+map_level_batches, which runs them on all CPUs of the process.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +28,47 @@ import scipy.sparse.linalg
 
 # Target size of one batch of time levels when a solver works through a
 # space-time block level by level: big enough to amortize per-call overhead,
-# small enough that a batch's temporaries stay in cache.
-BATCH_BYTES = 2 * 1024**2
+# small enough that a batch's temporaries stay in cache and that each worker
+# thread's malloc arena stays small.
+BATCH_BYTES = 512 * 1024
+
+# The CPUs this process may run on when it imports the package; level
+# batches are spread over them.
+WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+
+@functools.cache
+def _executor() -> concurrent.futures.ThreadPoolExecutor:
+    return concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS)
+
+
+# A forked child has none of the parent's threads; it makes its own pool.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def map_level_batches(fn, start: int, stop: int, row_nbytes: int) -> list:
+    """Return [fn(lo, hi), ...] over batches of time levels covering [start, stop).
+
+    Each batch holds at most BATCH_BYTES of rows of ``row_nbytes`` bytes (at
+    least one row); the split depends on nothing else. The batches run on a
+    thread pool with one worker per CPU of the process, inline when there is
+    one CPU or one batch, so two calls of ``fn`` must never write to the same
+    place, and ``fn`` must not use the pool itself (it could wait on its own
+    worker). Results come back in batch order. Every batch has finished when
+    this returns or raises; an exception is that of the first failed batch.
+    """
+    step = max(1, BATCH_BYTES // max(row_nbytes, 1))
+    bounds = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+    if WORKERS == 1 or len(bounds) <= 1:
+        return [fn(lo, hi) for lo, hi in bounds]
+    futures = [_executor().submit(fn, lo, hi) for lo, hi in bounds]
+    concurrent.futures.wait(futures)
+    return [future.result() for future in futures]
 
 
 class SingularShiftError(ArithmeticError):

@@ -223,7 +223,7 @@ def test_criterion_5_benchmark_2d_error_and_refusal():
     elapsed = time.perf_counter() - start
     assert all(r.status == "ok" for r in rows)
     bands_ok = all(
-        r.error_l2 <= (0.25 if r.eps == 1e-1 else 0.15) and r.cpu_total_s < 60.0
+        r.error_l2 <= (0.25 if r.eps == 1e-1 else 0.15) and r.wall_total_s < 60.0
         for r in rows
     )
     refused = run_experiment(

@@ -38,9 +38,9 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def reports_equal(a, b, skip_cpu=False):
+def reports_equal(a, b, skip_wall=False):
     for column in CSV_COLUMNS.split(","):
-        if skip_cpu and column.startswith("cpu_"):
+        if skip_wall and column.startswith("wall_"):
             continue
         va, vb = getattr(a, column), getattr(b, column)
         if isinstance(va, float) and math.isnan(va):
@@ -155,7 +155,7 @@ def test_run_experiment_row_contents():
         assert r.eps == 1e-1
         assert r.error_l2 >= 0 and np.isfinite(r.error_l2)
         assert r.residual <= 1e-6
-        assert r.cpu_total_s >= 0
+        assert r.wall_total_s >= 0
     # same noise draw within a cell: methods share delta and seed
     assert len({r.delta for r in reports}) == 1
     assert len({r.seed for r in reports}) == 1
@@ -180,12 +180,12 @@ def test_run_experiment_noise_free_fallback():
         assert r.error_l2 <= 0.6
 
 
-def test_run_experiment_deterministic_except_cpu():
+def test_run_experiment_deterministic_except_wall():
     config = small_config(eps_values=(1e-1, 1e-3), repeats=2)
     first = run_experiment(config)
     second = run_experiment(config)
     assert len(first) == len(second) == 8
-    assert all(reports_equal(a, b, skip_cpu=True) for a, b in zip(first, second))
+    assert all(reports_equal(a, b, skip_wall=True) for a, b in zip(first, second))
 
 
 def test_run_experiment_infeasible_rows():
@@ -195,7 +195,7 @@ def test_run_experiment_infeasible_rows():
     (report,) = run_experiment(config)
     assert report.status == "infeasible"
     assert math.isnan(report.error_l2)
-    assert math.isnan(report.cpu_total_s)
+    assert math.isnan(report.wall_total_s)
 
 
 def test_oracle_solver_error_decreases_under_refinement():
@@ -275,8 +275,8 @@ def test_csv_header_check(tmp_path):
 def test_profile_path_format(tmp_path):
     report = SolveReport(
         method="pint-qbvm", example=1, dim=1, M=64, N=32, eps=0.001, seed=42,
-        delta=0.0, alpha=0.0, error_l2=0.0, residual=0.0, cpu_total_s=0.0,
-        cpu_stepA_s=0.0, cpu_stepB_s=0.0, cpu_stepC_s=0.0, status="ok",
+        delta=0.0, alpha=0.0, error_l2=0.0, residual=0.0, wall_total_s=0.0,
+        wall_stepA_s=0.0, wall_stepB_s=0.0, wall_stepC_s=0.0, status="ok",
     )
     path = profile_path(str(tmp_path), report)
     assert os.path.basename(path) == "ex1_pint-qbvm_M64_N32_eps0.001_seed42.txt"

@@ -1,12 +1,26 @@
 """The 3-step FFT solver against baselines, plus its batched middle step."""
 
+import inspect
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bhcp
+from bhcp import space
+from bhcp.analysis import get_problem
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
-from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, to_eigenspace
+from bhcp.circulant import (
+    ImaginaryResidueError,
+    TimeGrid,
+    diagonalize,
+    from_eigenspace,
+    to_eigenspace,
+)
 from bhcp.methods import MethodKind, assemble
 from bhcp.pint import solve_pint
 from bhcp.space import (
@@ -132,6 +146,106 @@ def test_peak_memory_is_the_complex_block():
     # The complex block is twice the real trajectory, which then reuses its
     # memory; batch temporaries of step B and C add a few MiB on top.
     assert peak <= 3.0 * trajectory.nbytes
+
+
+def parallel_cases():
+    """Results of every pooled pass on meshes that span several level batches.
+
+    Runs unchanged in a process pinned to one CPU, so it imports what it uses.
+    """
+    import numpy as np
+
+    from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, to_eigenspace
+    from bhcp.methods import MethodKind, assemble, residual
+    from bhcp.pint import solve_pint
+    from bhcp.space import build_grid
+
+    out = {}
+    for kind in (MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM):
+        # n steps give n + 1 levels, so both parities of the level count run
+        for dim, m, n in ((1, 256, 512), (1, 256, 511), (2, 64, 40), (2, 64, 41)):
+            grid = build_grid(dim, np.pi, m)
+            data = np.random.default_rng(m + n).standard_normal(grid.n_interior)
+            system = assemble(kind, 1e-3, grid, TimeGrid(1.0, n), data)
+            trajectory = solve_pint(system).trajectory
+            out[f"{kind.value}-{dim}d-{n}"] = trajectory
+            out[f"{kind.value}-{dim}d-{n}-residual"] = residual(system, trajectory)[0]
+    for size in (513, 512):
+        real = np.random.default_rng(size).standard_normal((size, 255))
+        diag = diagonalize(size, -1e2)
+        coeffs = to_eigenspace(real, diag)
+        out[f"eigenspace-{size}"] = from_eigenspace(coeffs, diag)
+        out[f"eigenspace-{size}-overwrite"] = from_eigenspace(
+            coeffs, diag, overwrite=True
+        )
+    return out
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity control"
+)
+def test_pooled_passes_match_one_cpu_bitwise(tmp_path):
+    # The same passes in a process pinned to one CPU, where every batch runs
+    # inline, give the same bits as here, where they run on the pool.
+    path = tmp_path / "one_cpu.npz"
+    script = "\n".join([
+        "import os, sys",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "from bhcp import space",
+        "assert space.WORKERS == 1, space.WORKERS",
+        inspect.getsource(parallel_cases),
+        "import numpy as np",
+        "np.savez(sys.argv[1], **parallel_cases())",
+    ])
+    src = os.path.dirname(os.path.dirname(bhcp.__file__))
+    subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    here = parallel_cases()
+    with np.load(path) as one_cpu:
+        assert sorted(one_cpu.files) == sorted(here)
+        for key, value in here.items():
+            assert np.array_equal(value, one_cpu[key]), key
+    for size in (513, 512):
+        assert np.array_equal(
+            here[f"eigenspace-{size}"], here[f"eigenspace-{size}-overwrite"]
+        )
+
+
+def test_pooled_solve_with_more_threads_than_cores(monkeypatch):
+    # Batches write disjoint slices of one shared block; many threads and a
+    # tiny switch interval give the pool every chance to interleave them.
+    systems = [pint_system(m=256, n=512), pint_system(m=64, n=41, dim=2)]
+    monkeypatch.setattr(space, "WORKERS", 1)
+    expected = [solve_pint(system).trajectory for system in systems]
+    monkeypatch.setattr(space, "WORKERS", 8)
+    space._executor.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for system, trajectory in zip(systems, expected):
+                assert np.array_equal(solve_pint(system).trajectory, trajectory)
+    finally:
+        sys.setswitchinterval(interval)
+        space._executor().shutdown()
+        space._executor.cache_clear()
+
+
+def test_imaginary_residue_error_from_pooled_step_c():
+    # Clean example-1 data at alpha = 1e-10 is past what the change of basis
+    # resolves; the realness check still refuses it, with the same numbers.
+    grid = build_grid(1, np.pi, 256)
+    data = get_problem(1).final_on_grid(grid)
+    system = assemble(MethodKind.PINT_QBVM, 1e-10, grid, TimeGrid(1.0, 256), data)
+    message = (
+        "imaginary residue 9.508e-06 exceeds 1.0e-08 of the result norm 3.037e+02"
+    )
+    with pytest.raises(ImaginaryResidueError, match=f"^{re.escape(message)}$"):
+        solve_pint(system)
 
 
 def test_step_b_single_column():

@@ -1,15 +1,20 @@
-"""Grids, Laplacian spectra, sine transforms, and shifted solves."""
+"""Grids, Laplacian spectra, sine transforms, shifted solves, the batch pool."""
+
+import os
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bhcp.space import (
+    BATCH_BYTES,
     LaplacianOperator,
     SingularShiftError,
     build_grid,
     grid_norm,
     laplacian_eigenvalues,
+    map_level_batches,
     shifted_solve,
     sine_transform,
 )
@@ -212,3 +217,56 @@ def test_shifted_solve_rejects_bad_inputs():
         shifted_solve(grid, 1.0, np.ones(6))
     with pytest.raises(ValueError):
         shifted_solve(grid, 1.0, np.ones(7), backend="cholesky")
+
+
+def level_counts(lo, hi):
+    return lo, hi
+
+
+def test_map_level_batches_splits_in_order():
+    # 10 levels of a third of a batch each: batches of 3, results in order
+    row = BATCH_BYTES // 3
+    assert map_level_batches(level_counts, 5, 15, row) == [
+        (5, 8), (8, 11), (11, 14), (14, 15)
+    ]
+    # a level bigger than a batch still makes a batch of one
+    assert map_level_batches(level_counts, 0, 2, 2 * BATCH_BYTES) == [(0, 1), (1, 2)]
+    assert map_level_batches(level_counts, 3, 3, 8) == []
+
+
+def test_map_level_batches_finishes_every_batch_before_raising():
+    started = []
+
+    def fail_on_second(lo, hi):
+        started.append(lo)
+        if lo == 1:
+            raise ValueError("batch 1")
+        time.sleep(0.01)
+        return lo
+
+    with pytest.raises(ValueError, match="batch 1"):
+        map_level_batches(fail_on_second, 0, 6, BATCH_BYTES)
+    assert sorted(started) == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_map_level_batches_works_in_a_forked_child():
+    # The parent's pool exists before the fork; the child must not wait on
+    # its threads, which did not survive the fork.
+    map_level_batches(level_counts, 0, 4, BATCH_BYTES)
+    pid = os.fork()
+    if pid == 0:
+        ok = map_level_batches(level_counts, 0, 4, BATCH_BYTES) == [
+            (0, 1), (1, 2), (2, 3), (3, 4)
+        ]
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("map_level_batches hung in a forked child")
