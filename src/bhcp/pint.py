@@ -10,8 +10,9 @@ solve into three steps on one time-major (n_levels, n_space) complex block:
 - Step B solves (d_j/tau - lap) x_j = that field for every level j. omega is
   a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
   a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
-  solved, by batched calls of space.shifted_solve; the rest are conjugates.
-  The batches are independent and run on the level-batch pool.
+  solved, by one call of space.shifted_solve that transforms the field once
+  and writes its batches of levels straight into the block on the
+  level-batch pool; a second pooled pass fills in the conjugates.
 - Step C rotates back with one in-place FFT along the time axis plus the
   realness check (circulant.from_eigenspace), and builds the real trajectory
   in the block's own memory. The FFT runs on all CPUs, the rest on the pool.
@@ -60,15 +61,13 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     # The middle level of an odd level count is its own conjugate.
     paired = n_levels - half
 
-    def solve_levels(lo, hi):
-        block[lo:hi] = shifted_solve(system.grid, shifts[lo:hi], field)
-        # Level N-j is the conjugate of level j.
-        top = min(hi, paired)
-        if lo < top:
-            mirror = block[n_levels - top : n_levels - lo]
-            np.conjugate(block[lo:top][::-1], out=mirror)
+    shifted_solve(system.grid, shifts[:half], field, out=block[:half])
 
-    map_level_batches(solve_levels, 0, half, block[0].nbytes)
+    def mirror_levels(lo, hi):
+        # Level N-j is the conjugate of level j.
+        np.conjugate(block[lo:hi][::-1], out=block[n_levels - hi : n_levels - lo])
+
+    map_level_batches(mirror_levels, 0, paired, block[0].nbytes)
     t_b = time.perf_counter()
 
     trajectory = from_eigenspace(block, diag, overwrite=True)

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 
 # Target size of one batch of time levels when a solver works through a
@@ -211,8 +209,12 @@ class SpatialSpectrum:
     eigenvalues: np.ndarray
     mode_eigenvalues: np.ndarray
 
-    def transform(self, field: np.ndarray) -> np.ndarray:
-        """Orthonormal sine transform along the trailing (space) axis."""
+    def transform(self, field: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Orthonormal sine transform along the trailing (space) axis.
+
+        With ``overwrite`` the result goes into ``field`` itself, a float64 or
+        complex128 array, and that array is returned.
+        """
         grid = self.grid
         field = np.asarray(field)
         if field.shape[-1] != grid.n_interior:
@@ -220,12 +222,24 @@ class SpatialSpectrum:
                 f"field has {field.shape[-1]} entries, grid has {grid.n_interior}"
             )
         if grid.dim == 1:
-            return scipy.fft.dst(field, type=1, norm="ortho", axis=-1)
-        m = grid.num_cells - 1
-        square = field.reshape(field.shape[:-1] + (m, m))
-        out = scipy.fft.dst(square, type=1, norm="ortho", axis=-1)
-        out = scipy.fft.dst(out, type=1, norm="ortho", axis=-2)
-        return out.reshape(field.shape)
+            out = scipy.fft.dst(
+                field, type=1, norm="ortho", axis=-1, overwrite_x=overwrite
+            )
+        else:
+            m = grid.num_cells - 1
+            square = field.reshape(field.shape[:-1] + (m, m))
+            out = scipy.fft.dst(
+                square, type=1, norm="ortho", axis=-1, overwrite_x=overwrite
+            )
+            # the first pass's result is ours to overwrite either way
+            out = scipy.fft.dst(out, type=1, norm="ortho", axis=-2, overwrite_x=True)
+            out = out.reshape(field.shape)
+        if not overwrite:
+            return out
+        if not np.may_share_memory(out, field):
+            # scipy may decline to work in place; the result still goes here.
+            field[...] = out
+        return field
 
     def mode(self, index) -> np.ndarray:
         """Orthonormal discrete sine mode as a flat interior-node vector.
@@ -273,12 +287,22 @@ def sine_transform(grid: SpatialGrid, field: np.ndarray) -> np.ndarray:
     return laplacian_eigenvalues(grid).transform(field)
 
 
-def _check_shifts(shifts: np.ndarray, denominators: np.ndarray) -> None:
+def _check_shifts(shifts: np.ndarray, spectrum: SpatialSpectrum) -> None:
     """Reject shifts s for which some |s + mu_k| is negligibly small.
 
-    Row j of ``denominators`` holds shifts[j] + mu_k over all modes k.
+    Rounded addition and abs are monotone in mu, so over the ascending
+    spectrum the smallest |s + mu_k| sits at one of the two eigenvalues next
+    to -Re s: the decision is that of a scan over all modes, in O(log M)
+    per shift.
     """
-    bad = np.min(np.abs(denominators), axis=1) <= 1e-14 * np.abs(shifts)
+    eigenvalues = spectrum.eigenvalues
+    above = np.searchsorted(eigenvalues, -shifts.real)
+    below = np.maximum(above - 1, 0)
+    np.minimum(above, eigenvalues.size - 1, out=above)
+    nearest = np.minimum(
+        np.abs(shifts + eigenvalues[below]), np.abs(shifts + eigenvalues[above])
+    )
+    bad = nearest <= 1e-14 * np.abs(shifts)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise SingularShiftError(
@@ -291,23 +315,24 @@ def shifted_solve(
     grid: SpatialGrid,
     shift: complex | np.ndarray,
     rhs: np.ndarray,
-    backend: str = "spectral",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve (s*I - lap) x = rhs on the grid's interior nodes, for each shift s.
 
     ``shift`` is one complex number or a 1-D array of k of them. The result
     has the shape of ``rhs`` for a single shift and shape (k, n_interior),
-    one solution per row, for an array.
+    one solution per row, for an array. It is real when every shift and the
+    right-hand side are real, complex otherwise.
 
-    The default backend transforms rhs once, divides its sine coefficients
-    by (s + mu_k) for all shifts in one broadcast, and transforms all rows
-    back in one batched call: exact up to roundoff, O(k N log M). The
-    "banded" backend runs one direct banded/sparse elimination per shift
-    (tridiagonal in 1D) and exists as an independent cross-check and for
-    cost comparisons.
+    The shifts are checked once and rhs is sine-transformed once; then each
+    batch of rows divides those coefficients by (s + mu_k) and transforms
+    back in place, exact up to roundoff, O(k N log M). The batches run on
+    the level-batch pool, so this must not be called from inside a
+    map_level_batches function.
 
-    The result is real when every shift and the right-hand side are real,
-    complex otherwise.
+    ``out``, allowed only with an array of shifts, receives the result and
+    is returned; it must be a C-contiguous array of shape (k, n_interior)
+    and the result's dtype.
 
     Raises:
         SingularShiftError: some |s + mu_k| is below 1e-14*|s|; the message
@@ -316,39 +341,35 @@ def shifted_solve(
     rhs = np.asarray(rhs)
     if rhs.shape != (grid.n_interior,):
         raise ValueError(f"rhs must have shape ({grid.n_interior},), got {rhs.shape}")
-    if backend not in ("spectral", "banded"):
-        raise ValueError(f"unknown backend {backend!r}")
     shifts = np.asarray(shift)
     if shifts.ndim > 1:
         raise ValueError(f"shift must be a scalar or 1-D, got shape {shifts.shape}")
     real_data = not np.any(np.imag(shifts)) and not np.iscomplexobj(rhs)
-    shifts = np.atleast_1d(shifts).astype(np.float64 if real_data else np.complex128)
+    dtype = np.float64 if real_data else np.complex128
+    shifts = np.atleast_1d(shifts.real if real_data else shifts).astype(dtype)
+    shape = (shifts.size, grid.n_interior)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif np.ndim(shift) != 1:
+        raise ValueError("out is only accepted with a 1-D array of shifts")
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype != dtype
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}"
+        )
     spectrum = laplacian_eigenvalues(grid)
-    denominators = np.add.outer(shifts, spectrum.mode_eigenvalues)
-    _check_shifts(shifts, denominators)
+    _check_shifts(shifts, spectrum)
+    coeffs = spectrum.transform(rhs)
 
-    if backend == "spectral":
-        np.divide(spectrum.transform(rhs), denominators, out=denominators)
-        out = spectrum.transform(denominators)
-    else:
-        out = np.stack([_banded_solve(grid, s, rhs) for s in shifts])
-        if real_data:
-            out = out.real
+    def solve_rows(lo, hi):
+        rows = out[lo:hi]
+        np.add.outer(shifts[lo:hi], spectrum.mode_eigenvalues, out=rows)
+        np.divide(coeffs, rows, out=rows)
+        spectrum.transform(rows, overwrite=True)
+
+    map_level_batches(solve_rows, 0, shifts.size, grid.n_interior * out.itemsize)
     return out if np.ndim(shift) else out[0]
-
-
-def _banded_solve(grid: SpatialGrid, shift: complex, rhs: np.ndarray) -> np.ndarray:
-    rhs = rhs.astype(np.complex128)
-    inv_h2 = 1.0 / grid.h**2
-    m = grid.num_cells - 1
-    if grid.dim == 1:
-        bands = np.zeros((3, m), dtype=np.complex128)
-        bands[0, 1:] = -inv_h2
-        bands[1, :] = shift + 2.0 * inv_h2
-        bands[2, :-1] = -inv_h2
-        return scipy.linalg.solve_banded((1, 1), bands, rhs)
-    matrix = (
-        shift * scipy.sparse.identity(grid.n_interior, dtype=np.complex128)
-        - LaplacianOperator(grid).sparse()
-    ).tocsc()
-    return scipy.sparse.linalg.splu(matrix).solve(rhs)

@@ -30,6 +30,8 @@ from bhcp.space import (
     shifted_solve,
 )
 
+from banded_reference import banded_solve
+
 
 def pint_system(kind=MethodKind.PINT_QBVM, alpha=0.1, m=8, n=8, dim=1, seed=4):
     grid = build_grid(dim, np.pi, m)
@@ -119,7 +121,7 @@ def test_matches_per_level_banded_loop(kind, dim, m, n):
         system.rhs().reshape(system.n_levels, system.n_space), diag
     )
     solved = np.stack([
-        shifted_solve(system.grid, d / system.timegrid.tau, level, backend="banded")
+        banded_solve(system.grid, d / system.timegrid.tau, level)
         for d, level in zip(diag.eigenvalues, rotated)
     ])
     expected = from_eigenspace(solved, diag)
@@ -279,8 +281,36 @@ def test_step_b_reports_failing_column():
     shifts = np.array([1.0, 2.0, -mu1, 4.0])
     with pytest.raises(SingularShiftError, match="shift 2 "):
         shifted_solve(grid, shifts, np.ones(7))
-    with pytest.raises(SingularShiftError, match="shift 2 "):
-        shifted_solve(grid, shifts, np.ones(7), backend="banded")
+
+
+def test_step_b_reports_index_in_a_late_batch():
+    # 40 levels of 1023 complex values span two pooled batches; the index
+    # is the shift's place in the whole vector, not in its batch
+    grid = build_grid(1, np.pi, 1024)
+    mu = laplacian_eigenvalues(grid).eigenvalues
+    shifts = np.linspace(1.0, 40.0, 40) + 1.0j
+    shifts[37] = -mu[100]
+    with pytest.raises(SingularShiftError, match="^shift 37 "):
+        shifted_solve(grid, shifts, np.ones(1023))
+
+
+@pytest.mark.parametrize(
+    "dim, m, n", [(1, 1024, 128), (1, 1024, 129), (2, 192, 4), (2, 192, 5)]
+)
+def test_step_b_is_one_shifted_solve(monkeypatch, dim, m, n):
+    # Step B solves all its levels, several pooled batches here, in one call
+    # that transforms the field once; n steps give n + 1 levels.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return shifted_solve(*args, **kwargs)
+
+    system = pint_system(m=m, n=n, dim=dim)
+    expected = solve_pint(system).trajectory
+    monkeypatch.setattr(bhcp.pint, "shifted_solve", counting)
+    assert np.array_equal(solve_pint(system).trajectory, expected)
+    assert calls == [((n + 2) // 2,)]
 
 
 def test_step_b_shape_check():

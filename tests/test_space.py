@@ -2,6 +2,7 @@
 
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from bhcp.space import (
     shifted_solve,
     sine_transform,
 )
+
+from banded_reference import banded_solve
 
 
 @pytest.mark.parametrize(
@@ -175,13 +178,14 @@ def test_shifted_solve_matches_dense_complex_lu():
 @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 8)])
 @pytest.mark.parametrize("shift", [4.0, 3.0 + 2.0j, -0.5 + 40.0j])
 def test_backends_agree(dim, cells, shift):
+    # the spectral solve against the banded/sparse reference in the tests
     grid = build_grid(dim, np.pi, cells)
     rng = np.random.default_rng(23)
     rhs = rng.standard_normal(grid.n_interior) + 1j * rng.standard_normal(
         grid.n_interior
     )
-    a = shifted_solve(grid, shift, rhs, backend="spectral")
-    b = shifted_solve(grid, shift, rhs, backend="banded")
+    a = shifted_solve(grid, shift, rhs)
+    b = banded_solve(grid, shift, rhs)
     assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
 
 
@@ -215,8 +219,114 @@ def test_shifted_solve_rejects_bad_inputs():
     grid = build_grid(1, np.pi, 8)
     with pytest.raises(ValueError):
         shifted_solve(grid, 1.0, np.ones(6))
-    with pytest.raises(ValueError):
-        shifted_solve(grid, 1.0, np.ones(7), backend="cholesky")
+
+
+def test_shifted_solve_real_valued_complex_shifts_do_not_warn():
+    grid = build_grid(1, np.pi, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = shifted_solve(grid, np.array([2.0 + 0.0j, 3.0 + 0.0j]), np.ones(7))
+        empty = shifted_solve(grid, np.array([], dtype=complex), np.ones(7))
+    assert x.dtype == np.float64
+    assert np.array_equal(x, shifted_solve(grid, np.array([2.0, 3.0]), np.ones(7)))
+    assert empty.shape == (0, 7)
+
+
+def brute_force_singular(shifts, spectrum):
+    """The full scan over every shift and mode, as the solver once did it."""
+    denominators = np.add.outer(shifts, spectrum.mode_eigenvalues)
+    return np.min(np.abs(denominators), axis=1) <= 1e-14 * np.abs(shifts)
+
+
+def singular_check_shifts(spectrum, rng):
+    mu = spectrum.eigenvalues
+    steps = 1.0 + 1e-15 * np.arange(-12, 13)
+    shifts = [
+        -mu,
+        -mu * (1.0 - 1e-15),
+        -mu * (1.0 + 1e-15),
+        -mu + 1e-300j,
+        -mu + 1e-16j * mu,
+        -mu + 1e-13j * mu,
+        -np.outer(mu, steps).ravel(),
+        -np.outer(mu, steps).ravel() + 1e-15j * np.repeat(mu, steps.size),
+        -(mu[1:] + mu[:-1]) / 2,
+        [0.0, 1.0, 1e6, -0.5 * mu[0], -2.0 * mu[-1], -1e300],
+        rng.standard_normal(20) * mu[-1] + 1j * rng.standard_normal(20) * mu[0],
+    ]
+    return np.concatenate([np.asarray(s, dtype=complex) for s in shifts])
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 16), (1, 127), (2, 8), (2, 13)])
+def test_singular_check_matches_full_scan(dim, cells):
+    # 2D spectra repeat eigenvalues (mu_i + mu_j = mu_j + mu_i)
+    grid = build_grid(dim, np.pi, cells)
+    spectrum = laplacian_eigenvalues(grid)
+    shifts = singular_check_shifts(spectrum, np.random.default_rng(cells))
+    rhs = np.ones(grid.n_interior)
+    for values in (shifts, shifts.real):
+        expected = brute_force_singular(values, spectrum)
+        assert expected.any() and not expected.all()
+        for s, bad in zip(values, expected):
+            if bad:
+                with pytest.raises(SingularShiftError, match="^shift 0 "):
+                    shifted_solve(grid, np.array([s]), rhs)
+            else:
+                shifted_solve(grid, np.array([s]), rhs)
+        order = np.random.default_rng(dim).permutation(values.size)
+        first = int(np.argmax(expected[order]))
+        with pytest.raises(SingularShiftError, match=f"^shift {first} "):
+            shifted_solve(grid, values[order], rhs)
+
+
+@pytest.mark.parametrize(
+    "shifts, rhs_dtype",
+    [
+        (np.linspace(1.0, 80.0, 80) + 1.0j, float),
+        (np.linspace(1.0, 80.0, 80), float),
+        (np.linspace(1.0, 80.0, 80), complex),
+    ],
+)
+@pytest.mark.parametrize("dim, cells", [(1, 256), (2, 64)])
+def test_shifted_solve_into_out(shifts, rhs_dtype, dim, cells):
+    grid = build_grid(dim, np.pi, cells)
+    rng = np.random.default_rng(31)
+    rhs = rng.standard_normal(grid.n_interior).astype(rhs_dtype)
+    if rhs_dtype is complex:
+        rhs += 1j * rng.standard_normal(grid.n_interior)
+    expected = shifted_solve(grid, shifts, rhs)
+    out = np.full_like(expected, np.nan)
+    assert shifted_solve(grid, shifts, rhs, out=out) is out
+    assert np.array_equal(out, expected)
+    # a row range of a bigger block, as step B passes it
+    block = np.zeros((shifts.size + 3, grid.n_interior), dtype=expected.dtype)
+    shifted_solve(grid, shifts, rhs, out=block[: shifts.size])
+    assert np.array_equal(block[: shifts.size], expected)
+    assert not block[shifts.size :].any()
+
+
+def test_shifted_solve_rejects_bad_out():
+    grid = build_grid(1, np.pi, 8)
+    shifts = np.array([1.0 + 1.0j, 2.0 + 1.0j])
+    good = np.empty((2, 7), dtype=complex)
+    bad_outs = [
+        np.empty((3, 7), dtype=complex),
+        np.empty((2, 6), dtype=complex),
+        np.empty(14, dtype=complex),
+        np.empty((2, 7)),
+        np.empty((2, 7), dtype=np.complex64),
+        np.empty((7, 2), dtype=complex).T,
+        np.empty((2, 14), dtype=complex)[:, ::2],
+        [[0j] * 7] * 2,
+    ]
+    for out in bad_outs:
+        with pytest.raises(ValueError, match="out"):
+            shifted_solve(grid, shifts, np.ones(7), out=out)
+    with pytest.raises(ValueError, match="out"):
+        shifted_solve(grid, 1.0 + 1.0j, np.ones(7), out=good[0])
+    # real shifts and data give a real result, so a complex out is refused
+    with pytest.raises(ValueError, match="out"):
+        shifted_solve(grid, shifts.real, np.ones(7), out=good)
 
 
 def level_counts(lo, hi):
