@@ -43,15 +43,12 @@ from .circulant import (
     TimeGrid,
     diagonalize,
     from_eigenspace,
-    step_matrix,
-    to_eigenspace,
 )
 from .methods import (
     AllAtOnceSystem,
     MethodKind,
     MethodSpec,
     SolveResult,
-    alpha_rule,
     assemble,
     residual,
 )
@@ -65,7 +62,6 @@ from .space import (
     grid_norm,
     laplacian_eigenvalues,
     shifted_solve,
-    sine_transform,
 )
 
 __version__ = "0.1.0"

@@ -18,69 +18,61 @@ from __future__ import annotations
 import os
 import struct
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .analysis import ProblemSpec, add_noise, get_problem
 from .baseline import DEFAULT_NNZ_BUDGET, solve_sparse_lu, solve_spectral_oracle
 from .circulant import TimeGrid
-from .methods import MethodKind, SolveResult, alpha_rule, assemble
+from .methods import MethodKind, SolveResult, assemble
 from .pint import solve_pint
 from .space import SpatialGrid, build_grid
 
-CSV_COLUMNS = (
-    "method,example,dim,M,N,eps,seed,delta,alpha,error_l2,residual,"
-    "wall_total_s,wall_stepA_s,wall_stepB_s,wall_stepC_s,status"
-)
-
 SOLVERS = ("pint", "sparse-lu", "spectral-oracle")
 
-NAMED_ALPHA_RULES = (
-    "auto",
-    "delta",
-    "tau-delta",
-    "delta-over-sqrt-tau",
-    "sqrt-tau-delta",
-)
+# Alpha on noise-free data (delta = 0), where alpha = 0 would make the problem
+# ill-posed again.
+NOISE_FREE_ALPHA = 1e-12
+
+# alpha from the measured noise norm delta and the time step tau, per rule.
+# The default rule "auto" picks tau-delta for pint-mqbvm and delta otherwise.
+ALPHA_RULES = {
+    "delta": lambda delta, tau: delta,
+    "tau-delta": lambda delta, tau: tau * delta,
+    "delta-over-sqrt-tau": lambda delta, tau: float(delta / np.sqrt(tau)),
+    "sqrt-tau-delta": lambda delta, tau: float(np.sqrt(tau) * delta),
+}
 
 
-def resolve_alpha(
-    rule: str,
-    kind: MethodKind,
-    delta: float,
-    tau: float,
-    fallback: float = 1e-12,
-) -> float:
+def resolve_alpha(rule: str, kind: MethodKind, delta: float, tau: float) -> float:
     """Turn an alpha-rule token into a concrete regularization parameter.
 
-    "auto" applies the per-method default pairing (delta, or tau*delta for
-    pint-mqbvm); the named rules are literal formulas applied to the measured
-    delta regardless of method; "fixed:VALUE" bypasses delta entirely. All
-    delta-based rules fall back to a tiny alpha on noise-free data.
+    "auto" applies the per-kind pairing; the rules of ALPHA_RULES are
+    literal formulas applied to the measured delta regardless of method;
+    "fixed:VALUE" bypasses delta entirely and must be positive and finite.
+    All delta-based rules give NOISE_FREE_ALPHA on noise-free data.
     """
     if rule.startswith("fixed:"):
         value = float(rule.split(":", 1)[1])
-        if value <= 0:
-            raise ValueError(f"fixed alpha must be positive, got {value}")
+        if not 0 < value < np.inf:
+            raise ValueError(f"fixed alpha must be positive and finite, got {value}")
         return value
     if rule == "auto":
-        return alpha_rule(kind, delta, tau, fallback)
-    if rule not in NAMED_ALPHA_RULES:
+        rule = "tau-delta" if kind is MethodKind.PINT_MQBVM else "delta"
+    if rule not in ALPHA_RULES:
         raise ValueError(
-            f"unknown alpha rule {rule!r}; choose from {NAMED_ALPHA_RULES} "
+            f"unknown alpha rule {rule!r}; choose from {('auto', *ALPHA_RULES)} "
             f"or fixed:VALUE"
         )
+    if delta < 0:
+        raise ValueError(f"noise magnitude must be nonnegative, got {delta}")
+    if tau <= 0:
+        raise ValueError(f"time step must be positive, got {tau}")
     if delta == 0:
-        return fallback
-    if rule == "delta":
-        return delta
-    if rule == "tau-delta":
-        return tau * delta
-    if rule == "delta-over-sqrt-tau":
-        return float(delta / np.sqrt(tau))
-    return float(np.sqrt(tau) * delta)
+        return NOISE_FREE_ALPHA
+    return ALPHA_RULES[rule](delta, tau)
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,10 @@ class ExperimentConfig:
         for m, n in self.meshes:
             if m < 2 or n < 1:
                 raise ValueError(f"bad mesh ({m}, {n})")
-        if any(e < 0 for e in self.eps_values):
-            raise ValueError("noise levels must be nonnegative")
+        if not all(0 <= e < np.inf for e in self.eps_values):
+            raise ValueError(
+                f"noise levels must be finite and nonnegative, got {self.eps_values}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.repeats < 1:
@@ -149,6 +143,9 @@ class SolveReport:
     wall_stepB_s: float
     wall_stepC_s: float
     status: str
+
+
+CSV_COLUMNS = ",".join(field.name for field in fields(SolveReport))
 
 
 def l2_error(
@@ -272,10 +269,6 @@ def _run_cell(
     return report
 
 
-_INT_FIELDS = {"example", "dim", "M", "N", "seed"}
-_STR_FIELDS = {"method", "status"}
-
-
 def emit_csv(reports, path: str) -> None:
     """Write reports under the fixed header; floats keep full precision."""
     lines = [CSV_COLUMNS]
@@ -295,20 +288,16 @@ def parse_csv(path: str) -> list:
         header = handle.readline().strip()
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header!r}")
+        types = get_type_hints(SolveReport)
         reports = []
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
-            kwargs = {}
-            for column, cell in zip(CSV_COLUMNS.split(","), cells):
-                if column in _STR_FIELDS:
-                    kwargs[column] = cell
-                elif column in _INT_FIELDS:
-                    kwargs[column] = int(cell)
-                else:
-                    kwargs[column] = float(cell)
+            kwargs = {
+                column: types[column](cell)
+                for column, cell in zip(CSV_COLUMNS.split(","), line.split(","))
+            }
             reports.append(SolveReport(**kwargs))
     return reports
 

@@ -18,7 +18,9 @@ import sys
 from typing import Optional, Sequence
 
 from .bench import (
+    ALPHA_RULES,
     CSV_COLUMNS,
+    SOLVERS,
     ExperimentConfig,
     emit_csv,
     run_experiment,
@@ -66,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment matrix, write a CSV")
     run.add_argument("--example", type=int, choices=(1, 2), required=True)
     run.add_argument("--method", choices=METHOD_TOKENS, required=True)
-    run.add_argument(
-        "--solver", choices=("pint", "sparse-lu", "spectral-oracle"), required=True
-    )
+    run.add_argument("--solver", choices=SOLVERS, required=True)
     run.add_argument(
         "--mesh",
         type=_parse_mesh_list,
@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         metavar="RULE",
         help=(
-            "auto | delta | tau-delta | delta-over-sqrt-tau | sqrt-tau-delta "
-            "| fixed:VALUE (default: auto, the per-method pairing)"
+            " | ".join(("auto", *ALPHA_RULES, "fixed:VALUE"))
+            + " (default: auto, the per-method pairing)"
         ),
     )
     run.add_argument("--seed", type=int, required=True, help="root RNG seed")

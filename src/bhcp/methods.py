@@ -45,32 +45,6 @@ class MethodKind(enum.Enum):
         return self in (MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM)
 
 
-def alpha_rule(
-    kind: MethodKind,
-    delta: float,
-    tau: float,
-    fallback: float = 1e-12,
-    e0: Optional[float] = None,
-) -> float:
-    """Default regularization parameter for a given noise magnitude.
-
-    alpha = delta for qbvm, mqbvm, and pint-qbvm; alpha = tau*delta for
-    pint-mqbvm. Passing e0 (an a-priori bound on the initial state norm)
-    divides delta by it first, the choice under which the convergence-rate
-    bound holds. Noise-free data (delta = 0) falls back to a tiny positive
-    value since alpha = 0 would make the problem ill-posed again.
-    """
-    if delta < 0:
-        raise ValueError(f"noise magnitude must be nonnegative, got {delta}")
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    if delta == 0:
-        return fallback
-    if e0 is not None:
-        delta = delta / e0
-    return tau * delta if kind is MethodKind.PINT_MQBVM else delta
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """A method kind plus its regularization parameter."""
@@ -79,8 +53,8 @@ class MethodSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def condition_divisor(self, tau: float) -> float:
         """Factor the final-condition row is divided by in the stored system.

@@ -70,7 +70,7 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     map_level_batches(mirror_levels, 0, paired, block[0].nbytes)
     t_b = time.perf_counter()
 
-    trajectory = from_eigenspace(block, diag, overwrite=True)
+    trajectory = from_eigenspace(block, diag)
     t_c = time.perf_counter()
 
     timings = {

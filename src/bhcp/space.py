@@ -282,11 +282,6 @@ def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:
     )
 
 
-def sine_transform(grid: SpatialGrid, field: np.ndarray) -> np.ndarray:
-    """Orthonormal sine transform of an interior-node field; its own inverse."""
-    return laplacian_eigenvalues(grid).transform(field)
-
-
 def _check_shifts(shifts: np.ndarray, spectrum: SpatialSpectrum) -> None:
     """Reject shifts s for which some |s + mu_k| is negligibly small.
 

@@ -2,11 +2,14 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bhcp.bench import (
+    ALPHA_RULES,
     CSV_COLUMNS,
     ExperimentConfig,
     SolveReport,
@@ -73,8 +76,12 @@ def test_l2_error_shape_mismatch():
 def test_resolve_alpha_auto_pairing():
     assert resolve_alpha("auto", MethodKind.PINT_QBVM, 1e-3, 0.1) == 1e-3
     assert resolve_alpha("auto", MethodKind.QBVM, 1e-3, 0.1) == 1e-3
+    assert resolve_alpha("auto", MethodKind.MQBVM, 0.25, 0.5) == 0.25
     assert resolve_alpha("auto", MethodKind.PINT_MQBVM, 1e-3, 0.1) == pytest.approx(
         1e-4
+    )
+    assert resolve_alpha("auto", MethodKind.PINT_MQBVM, 1e-3, 1e-2) == pytest.approx(
+        1e-5
     )
 
 
@@ -98,12 +105,20 @@ def test_resolve_alpha_named_rules():
 def test_resolve_alpha_fixed_and_fallback():
     assert resolve_alpha("fixed:0.05", MethodKind.QBVM, 1e-3, 0.1) == 0.05
     assert resolve_alpha("fixed:0.05", MethodKind.QBVM, 0.0, 0.1) == 0.05
-    for rule in ("auto", "delta", "tau-delta", "sqrt-tau-delta"):
-        assert resolve_alpha(rule, MethodKind.QBVM, 0.0, 0.1) == 1e-12
-    with pytest.raises(ValueError):
-        resolve_alpha("fixed:-1", MethodKind.QBVM, 1e-3, 0.1)
-    with pytest.raises(ValueError):
-        resolve_alpha("best-guess", MethodKind.QBVM, 1e-3, 0.1)
+    for rule in ("auto", *ALPHA_RULES):
+        for kind in MethodKind:
+            assert resolve_alpha(rule, kind, 0.0, 0.1) == 1e-12
+    for rule in ("fixed:-1", "fixed:0", "fixed:nan", "fixed:inf", "best-guess"):
+        with pytest.raises(ValueError):
+            resolve_alpha(rule, MethodKind.QBVM, 1e-3, 0.1)
+
+
+def test_resolve_alpha_rejects_bad_inputs():
+    for rule in ("auto", *ALPHA_RULES):
+        with pytest.raises(ValueError):
+            resolve_alpha(rule, MethodKind.QBVM, -1e-3, 0.1)
+        with pytest.raises(ValueError):
+            resolve_alpha(rule, MethodKind.QBVM, 1e-3, 0.0)
 
 
 def test_cell_seed_determinism_and_sensitivity():
@@ -130,6 +145,10 @@ def test_cell_seed_determinism_and_sensitivity():
         dict(repeats=0),
         dict(alpha_rule="best-guess"),
         dict(alpha_rule="fixed:0"),
+        dict(alpha_rule="fixed:nan"),
+        dict(alpha_rule="fixed:inf"),
+        dict(eps_values=(float("nan"),)),
+        dict(eps_values=(1e-1, float("inf"))),
     ],
 )
 def test_config_validation(overrides):
@@ -241,6 +260,16 @@ def test_csv_round_trip(tmp_path):
     parsed = parse_csv(path)
     assert len(parsed) == len(reports)
     assert all(reports_equal(a, b) for a, b in zip(reports, parsed))
+    row = parsed[0]
+    assert isinstance(row.seed, int) and isinstance(row.M, int)
+    assert isinstance(row.method, str) and isinstance(row.alpha, float)
+
+
+def test_csv_header_is_fixed():
+    assert CSV_COLUMNS == (
+        "method,example,dim,M,N,eps,seed,delta,alpha,error_l2,residual,"
+        "wall_total_s,wall_stepA_s,wall_stepB_s,wall_stepC_s,status"
+    )
 
 
 def test_csv_round_trip_with_nan_columns(tmp_path):
@@ -344,3 +373,17 @@ def test_profile_peak_near_exact_on_fine_mesh(tmp_path):
     assert exact_peak[2] == pytest.approx(np.pi, abs=1e-2)
     assert recon_peak[0] == pytest.approx(np.pi / 2, abs=0.05)
     assert recon_peak[1] == pytest.approx(np.pi, abs=0.3)
+
+
+def test_perfbench_selftest_passes():
+    # The benchmark wraps functions of bench and pint by name from outside
+    # the program; its self-test fails when one it needs is gone.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

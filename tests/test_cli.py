@@ -89,6 +89,23 @@ def test_unknown_alpha_rule_rejected(tmp_path, capsys):
     assert "bhcp:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"--eps": "1e-2", "--alpha-rule": "fixed:nan"},
+        {"--eps": "1e-2", "--alpha-rule": "fixed:inf"},
+        {"--eps": "nan"},
+        {"--eps": "inf"},
+    ],
+)
+def test_non_finite_alpha_or_eps_rejected(tmp_path, capsys, overrides):
+    # rejected with the configuration, before any row is written
+    out = str(tmp_path / "rows.csv")
+    assert main(run_args(out, **overrides)) == 2
+    assert not os.path.exists(out)
+    assert "finite" in capsys.readouterr().err
+
+
 def test_profiles_flag_writes_files(tmp_path):
     out = str(tmp_path / "rows.csv")
     profiles = tmp_path / "profiles"

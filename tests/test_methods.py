@@ -1,19 +1,20 @@
-"""Method definitions, alpha rules, and all-at-once system assembly."""
+"""Method definitions, omega values, and all-at-once system assembly."""
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from bhcp.circulant import TimeGrid, step_matrix
+from bhcp.circulant import TimeGrid
 from bhcp.methods import (
     MethodKind,
     MethodSpec,
-    alpha_rule,
     assemble,
     residual,
 )
 from bhcp.space import LaplacianOperator, build_grid
+
+from circulant_reference import step_matrix
 
 ALL_KINDS = tuple(MethodKind)
 
@@ -33,33 +34,10 @@ def test_kind_tokens_and_circulant_flags():
     assert MethodKind.PINT_MQBVM.is_circulant
 
 
-def test_alpha_rule_pairings():
-    assert alpha_rule(MethodKind.PINT_MQBVM, 1e-3, 1e-2) == pytest.approx(1e-5)
-    assert alpha_rule(MethodKind.PINT_QBVM, 0.5, 1e-2) == 0.5
-    assert alpha_rule(MethodKind.QBVM, 0.25, 0.5) == 0.25
-    assert alpha_rule(MethodKind.MQBVM, 0.25, 0.5) == 0.25
-
-
-def test_alpha_rule_noise_free_fallback():
-    assert alpha_rule(MethodKind.QBVM, 0.0, 0.1) == 1e-12
-    assert alpha_rule(MethodKind.PINT_MQBVM, 0.0, 0.1, fallback=1e-9) == 1e-9
-
-
-def test_alpha_rule_with_initial_norm_bound():
-    assert alpha_rule(MethodKind.PINT_QBVM, 1e-3, 0.1, e0=2.0) == pytest.approx(5e-4)
-    assert alpha_rule(MethodKind.PINT_MQBVM, 1e-3, 0.1, e0=2.0) == pytest.approx(5e-5)
-
-
-def test_alpha_rule_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        alpha_rule(MethodKind.QBVM, -1e-3, 0.1)
-    with pytest.raises(ValueError):
-        alpha_rule(MethodKind.QBVM, 1e-3, 0.0)
-
-
 def test_method_spec_validation_and_divisors():
-    with pytest.raises(ValueError):
-        MethodSpec(MethodKind.QBVM, 0.0)
+    for alpha in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MethodSpec(MethodKind.QBVM, alpha)
     tau = 0.125
     assert MethodSpec(MethodKind.QBVM, 0.3).condition_divisor(tau) == 1.0
     assert MethodSpec(MethodKind.MQBVM, 0.3).condition_divisor(tau) == 1.0
