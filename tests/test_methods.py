@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from bhcp.bench import NOISE_FREE_ALPHA, resolve_alpha
 from bhcp.circulant import TimeGrid
 from bhcp.methods import (
     MethodKind,
@@ -32,6 +33,21 @@ def test_kind_tokens_and_circulant_flags():
     assert not MethodKind.MQBVM.is_circulant
     assert MethodKind.PINT_QBVM.is_circulant
     assert MethodKind.PINT_MQBVM.is_circulant
+
+
+def test_alpha_rule_pairings():
+    assert resolve_alpha("auto", MethodKind.PINT_MQBVM, 1e-3, 1e-2) == pytest.approx(
+        1e-5
+    )
+    assert resolve_alpha("auto", MethodKind.PINT_QBVM, 0.5, 1e-2) == 0.5
+    assert resolve_alpha("auto", MethodKind.QBVM, 0.25, 0.5) == 0.25
+    assert resolve_alpha("auto", MethodKind.MQBVM, 0.25, 0.5) == 0.25
+
+
+def test_alpha_rule_noise_free_fallback():
+    assert NOISE_FREE_ALPHA == 1e-12
+    assert resolve_alpha("auto", MethodKind.QBVM, 0.0, 0.1) == NOISE_FREE_ALPHA
+    assert resolve_alpha("auto", MethodKind.PINT_MQBVM, 0.0, 0.1) == NOISE_FREE_ALPHA
 
 
 def test_method_spec_validation_and_divisors():
