@@ -22,7 +22,7 @@ from .analysis import (
     theorem1_bound,
 )
 from .baseline import (
-    DEFAULT_NNZ_BUDGET,
+    NNZ_BUDGET,
     march_forward,
     solve_sparse_lu,
     solve_spectral_oracle,
@@ -32,7 +32,6 @@ from .bench import (
     SolveReport,
     emit_csv,
     emit_profile,
-    l2_error,
     parse_csv,
     resolve_alpha,
     run_experiment,
@@ -54,13 +53,14 @@ from .methods import (
 )
 from .pint import solve_pint
 from .space import (
-    LaplacianOperator,
     SingularShiftError,
     SpatialGrid,
     SpatialSpectrum,
+    apply_laplacian,
     build_grid,
     grid_norm,
     laplacian_eigenvalues,
+    laplacian_matrix,
     shifted_solve,
 )
 

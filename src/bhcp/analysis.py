@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -45,11 +45,6 @@ class SpectralCoefficients:
             raise ValueError("Dirichlet eigenvalues are strictly positive")
         if np.shape(self.coefficients) != lam.shape:
             raise ValueError("need one coefficient per eigenvalue")
-
-    @property
-    def truncation(self) -> int:
-        """Number of retained modes."""
-        return self.eigenvalues.shape[0]
 
     def data_norm(self) -> float:
         """Norm of the data these coefficients represent."""
@@ -122,8 +117,6 @@ class NoisyData:
     """A perturbed copy of grid data with its measured noise magnitude."""
 
     values: np.ndarray
-    eps: float
-    seed: int
     delta: float
 
 
@@ -140,12 +133,7 @@ def add_noise(
     data = np.asarray(data, dtype=float)
     rng = np.random.default_rng(seed)
     noisy = data * (1.0 + eps * rng.uniform(-1.0, 1.0, size=data.shape))
-    return NoisyData(
-        values=noisy,
-        eps=eps,
-        seed=seed,
-        delta=grid_norm(noisy - data, grid),
-    )
+    return NoisyData(values=noisy, delta=grid_norm(noisy - data, grid))
 
 
 def _rate_exponent(t: float, horizon: float, tau: float) -> float:
@@ -309,15 +297,14 @@ def _ex2_spec() -> ProblemSpec:
     )
 
 
-_PROBLEMS = {"ex1": _ex1_spec(), "ex2": _ex2_spec()}
+_PROBLEMS = {1: _ex1_spec(), 2: _ex2_spec()}
 
 
-def get_problem(which: Union[str, int]) -> ProblemSpec:
-    """Look up a benchmark problem by name ("ex1"/"ex2") or number (1/2)."""
-    key = f"ex{which}" if isinstance(which, int) else str(which)
+def get_problem(example: int) -> ProblemSpec:
+    """Look up a benchmark problem by its example number, 1 or 2."""
     try:
-        return _PROBLEMS[key]
+        return _PROBLEMS[example]
     except KeyError:
         raise ValueError(
-            f"unknown problem {which!r}; choose from {sorted(_PROBLEMS)}"
+            f"unknown problem {example!r}; choose from {sorted(_PROBLEMS)}"
         ) from None

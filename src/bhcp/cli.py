@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_eps_list,
         required=True,
         metavar="LIST",
-        help="comma-separated relative noise levels (0 for noise-free)",
+        help="comma-separated relative noise levels in [0, 1] (0 for noise-free)",
     )
     run.add_argument(
         "--alpha-rule",

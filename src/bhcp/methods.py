@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .circulant import TimeGrid
-from .space import LaplacianOperator, SpatialGrid, map_level_batches
+from .space import SpatialGrid, apply_laplacian, laplacian_matrix, map_level_batches
 
 
 class MethodKind(enum.Enum):
@@ -109,7 +109,6 @@ class AllAtOnceSystem:
         self.grid = grid
         self.timegrid = timegrid
         self.data = data
-        self.laplacian = LaplacianOperator(grid)
         self.time_coupling, self.lap_levels = _time_coupling(method, timegrid)
         self._sparse = None
 
@@ -157,7 +156,7 @@ class AllAtOnceSystem:
         first = self.n_levels - int(np.count_nonzero(self.lap_levels))
 
         def subtract_stencil(lo, hi):
-            out[lo:hi] -= self.laplacian.apply(mat[lo:hi])
+            out[lo:hi] -= apply_laplacian(self.grid, mat[lo:hi])
 
         map_level_batches(subtract_stencil, first, self.n_levels, mat[0].nbytes)
         return out.ravel() if flat else out
@@ -169,13 +168,13 @@ class AllAtOnceSystem:
             switch = scipy.sparse.diags(self.lap_levels.astype(float))
             self._sparse = (
                 scipy.sparse.kron(self.time_coupling, eye)
-                - scipy.sparse.kron(switch, self.laplacian.sparse())
+                - scipy.sparse.kron(switch, laplacian_matrix(self.grid))
             ).tocsr()
         return self._sparse
 
     def estimated_nnz(self) -> int:
         """Upper bound on sparse() nonzeros, cheap enough to gate big solves."""
-        lap_nnz = self.laplacian.sparse().nnz
+        lap_nnz = laplacian_matrix(self.grid).nnz
         return int(
             self.time_coupling.nnz * self.n_space
             + int(np.count_nonzero(self.lap_levels)) * lap_nnz

@@ -106,6 +106,11 @@ class SpatialGrid:
         return (self.num_cells - 1) ** self.dim
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Interior nodes per axis, (M-1,)*dim."""
+        return (self.num_cells - 1,) * self.dim
+
+    @property
     def axis_nodes(self) -> np.ndarray:
         """Interior node coordinates along one axis, shape (M-1,)."""
         return self.h * np.arange(1, self.num_cells)
@@ -113,14 +118,11 @@ class SpatialGrid:
     def interior_coords(self) -> tuple[np.ndarray, ...]:
         """Coordinates of all interior nodes, one flat array per axis.
 
-        In 2D the flattening is C order with the first axis outermost; every
+        The flattening is C order with the first axis outermost; every
         flattened field in this package uses the same ordering.
         """
-        x = self.axis_nodes
-        if self.dim == 1:
-            return (x,)
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        return (x1.ravel(), x2.ravel())
+        axes = np.meshgrid(*[self.axis_nodes] * self.dim, indexing="ij")
+        return tuple(axis.ravel() for axis in axes)
 
 
 def build_grid(dim: int, length: float, num_cells: int) -> SpatialGrid:
@@ -128,68 +130,60 @@ def build_grid(dim: int, length: float, num_cells: int) -> SpatialGrid:
     return SpatialGrid(dim=dim, length=length, num_cells=num_cells)
 
 
-def grid_norm(values: np.ndarray, grid: SpatialGrid) -> float:
-    """Discrete L2 norm, the vector 2-norm weighted by h**(dim/2)."""
+def _check_field(values, grid: SpatialGrid) -> np.ndarray:
+    """``values`` as an array whose trailing axis holds one field of the grid."""
     values = np.asarray(values)
     if values.shape[-1] != grid.n_interior:
         raise ValueError(
             f"field has {values.shape[-1]} entries, grid has {grid.n_interior}"
         )
+    return values
+
+
+def grid_norm(values: np.ndarray, grid: SpatialGrid) -> float:
+    """Discrete L2 norm, the vector 2-norm weighted by h**(dim/2)."""
+    values = _check_field(values, grid)
     return float(grid.h ** (grid.dim / 2.0) * np.linalg.norm(values))
 
 
-class LaplacianOperator:
-    """Finite difference Laplacian on interior nodes (Dirichlet boundaries).
+def apply_laplacian(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
+    """Finite difference Laplacian of fields on the grid's interior nodes.
 
-    3-point stencil in 1D and 5-point stencil in 2D, scaled by 1/h**2. The
-    operator acts on the trailing axis of an array, so a whole stack of time
-    slices can be differentiated in one call. ``sparse()`` returns the
-    explicit CSR form (cached).
+    The (2*dim+1)-point stencil scaled by 1/h**2, with the Dirichlet zeros
+    left out. It acts on the trailing axis of ``values``, so a whole stack
+    of time slices is differentiated in one call.
     """
+    values = _check_field(values, grid)
+    field = values.reshape(values.shape[:-1] + grid.shape)
+    out = (-2.0 * grid.dim) * field
+    for axis in range(-grid.dim, 0):
+        after = (slice(None),) * (-1 - axis)
+        upper = (..., slice(1, None)) + after
+        lower = (..., slice(None, -1)) + after
+        out[upper] += field[lower]
+        out[lower] += field[upper]
+    return (out * (1.0 / grid.h**2)).reshape(values.shape)
 
-    def __init__(self, grid: SpatialGrid):
-        self.grid = grid
-        self._sparse = None
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        values = np.asarray(values)
-        if values.shape[-1] != grid.n_interior:
-            raise ValueError(
-                f"field has {values.shape[-1]} entries, grid has {grid.n_interior}"
-            )
-        inv_h2 = 1.0 / grid.h**2
-        if grid.dim == 1:
-            out = -2.0 * values
-            out[..., 1:] += values[..., :-1]
-            out[..., :-1] += values[..., 1:]
-            return out * inv_h2
-        m = grid.num_cells - 1
-        square = values.reshape(values.shape[:-1] + (m, m))
-        out = -4.0 * square
-        out[..., 1:, :] += square[..., :-1, :]
-        out[..., :-1, :] += square[..., 1:, :]
-        out[..., :, 1:] += square[..., :, :-1]
-        out[..., :, :-1] += square[..., :, 1:]
-        return (out * inv_h2).reshape(values.shape)
+@functools.lru_cache(maxsize=8)
+def laplacian_matrix(grid: SpatialGrid) -> scipy.sparse.csr_matrix:
+    """The stencil of apply_laplacian as a CSR matrix, cached per grid.
 
-    __call__ = apply
-
-    def sparse(self) -> scipy.sparse.csr_matrix:
-        if self._sparse is None:
-            m = self.grid.num_cells - 1
-            inv_h2 = 1.0 / self.grid.h**2
-            lap1 = scipy.sparse.diags(
-                [inv_h2, -2.0 * inv_h2, inv_h2], [-1, 0, 1], shape=(m, m)
-            )
-            if self.grid.dim == 1:
-                self._sparse = lap1.tocsr()
-            else:
-                eye = scipy.sparse.identity(m)
-                self._sparse = (
-                    scipy.sparse.kron(lap1, eye) + scipy.sparse.kron(eye, lap1)
-                ).tocsr()
-        return self._sparse
+    The 1D matrix is tridiagonal; the 2D one is its Kronecker sum
+    kron(lap1, I) + kron(I, lap1). Each matrix holds about 2*dim+1 fields,
+    so fewer grids are kept than by laplacian_eigenvalues.
+    """
+    m = grid.num_cells - 1
+    inv_h2 = 1.0 / grid.h**2
+    lap1 = scipy.sparse.diags([inv_h2, -2.0 * inv_h2, inv_h2], [-1, 0, 1], shape=(m, m))
+    eye = scipy.sparse.identity(m)
+    terms = [
+        functools.reduce(
+            scipy.sparse.kron, [lap1 if a == axis else eye for a in range(grid.dim)]
+        )
+        for axis in range(grid.dim)
+    ]
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 @dataclass(frozen=True)
@@ -215,25 +209,14 @@ class SpatialSpectrum:
         With ``overwrite`` the result goes into ``field`` itself, a float64 or
         complex128 array, and that array is returned.
         """
-        grid = self.grid
-        field = np.asarray(field)
-        if field.shape[-1] != grid.n_interior:
-            raise ValueError(
-                f"field has {field.shape[-1]} entries, grid has {grid.n_interior}"
-            )
-        if grid.dim == 1:
+        field = _check_field(field, self.grid)
+        out = field.reshape(field.shape[:-1] + self.grid.shape)
+        for axis in range(-1, -self.grid.dim - 1, -1):
+            # after the first pass the result is ours to overwrite either way
             out = scipy.fft.dst(
-                field, type=1, norm="ortho", axis=-1, overwrite_x=overwrite
+                out, type=1, norm="ortho", axis=axis, overwrite_x=overwrite or axis < -1
             )
-        else:
-            m = grid.num_cells - 1
-            square = field.reshape(field.shape[:-1] + (m, m))
-            out = scipy.fft.dst(
-                square, type=1, norm="ortho", axis=-1, overwrite_x=overwrite
-            )
-            # the first pass's result is ours to overwrite either way
-            out = scipy.fft.dst(out, type=1, norm="ortho", axis=-2, overwrite_x=True)
-            out = out.reshape(field.shape)
+        out = out.reshape(field.shape)
         if not overwrite:
             return out
         if not np.may_share_memory(out, field):
@@ -244,21 +227,22 @@ class SpatialSpectrum:
     def mode(self, index) -> np.ndarray:
         """Orthonormal discrete sine mode as a flat interior-node vector.
 
-        ``index`` is a 1-based mode number in 1D or a pair (k1, k2) in 2D.
+        ``index`` holds a 1-based mode number per axis: an int in 1D, a pair
+        (k1, k2) in 2D.
         """
-        m = self.grid.num_cells - 1
+        grid = self.grid
+        m = grid.num_cells - 1
+        numbers = np.atleast_1d(index)
+        if numbers.shape != (grid.dim,):
+            raise ValueError(f"mode index {index!r} needs {grid.dim} mode number(s)")
+        if not all(1 <= k <= m for k in numbers):
+            raise ValueError(f"mode index {index} out of range 1..{m}")
         j = np.arange(1, m + 1)
-        if self.grid.dim == 1:
-            k = int(index)
-            if not 1 <= k <= m:
-                raise ValueError(f"mode index {k} out of range 1..{m}")
-            return np.sqrt(2.0 / (m + 1)) * np.sin(k * j * np.pi / (m + 1))
-        k1, k2 = index
-        if not (1 <= k1 <= m and 1 <= k2 <= m):
-            raise ValueError(f"mode index {(k1, k2)} out of range 1..{m}")
-        s1 = np.sqrt(2.0 / (m + 1)) * np.sin(k1 * j * np.pi / (m + 1))
-        s2 = np.sqrt(2.0 / (m + 1)) * np.sin(k2 * j * np.pi / (m + 1))
-        return np.outer(s1, s2).ravel()
+        factors = [
+            np.sqrt(2.0 / (m + 1)) * np.sin(int(k) * j * np.pi / (m + 1))
+            for k in numbers
+        ]
+        return functools.reduce(np.multiply.outer, factors).ravel()
 
 
 @functools.lru_cache(maxsize=64)
@@ -268,13 +252,9 @@ def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:
     1D eigenvalues are (4/h**2) sin(k pi / (2M))**2 for k = 1..M-1; the 2D
     spectrum is all pairwise sums. Results are cached per grid.
     """
-    m = grid.num_cells - 1
-    k = np.arange(1, m + 1)
+    k = np.arange(1, grid.num_cells)
     mu1 = (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * grid.num_cells)) ** 2
-    if grid.dim == 1:
-        mode_mu = mu1
-    else:
-        mode_mu = np.add.outer(mu1, mu1).ravel()
+    mode_mu = functools.reduce(np.add.outer, [mu1] * grid.dim).ravel()
     return SpatialSpectrum(
         grid=grid,
         eigenvalues=np.sort(mode_mu),

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from bhcp.space import LaplacianOperator, SpatialGrid
+from bhcp.space import SpatialGrid, laplacian_matrix
 
 
 def banded_solve(grid: SpatialGrid, shift: complex, rhs: np.ndarray) -> np.ndarray:
@@ -25,6 +25,6 @@ def banded_solve(grid: SpatialGrid, shift: complex, rhs: np.ndarray) -> np.ndarr
         return scipy.linalg.solve_banded((1, 1), bands, rhs)
     matrix = (
         shift * scipy.sparse.identity(grid.n_interior, dtype=np.complex128)
-        - LaplacianOperator(grid).sparse()
+        - laplacian_matrix(grid)
     ).tocsc()
     return scipy.sparse.linalg.splu(matrix).solve(rhs)

@@ -106,6 +106,15 @@ def test_non_finite_alpha_or_eps_rejected(tmp_path, capsys, overrides):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1.5", "1e308"])
+def test_eps_above_one_rejected(tmp_path, capsys, eps):
+    # noise above 100% of the data is refused up front, not run into an error row
+    out = str(tmp_path / "rows.csv")
+    assert main(run_args(out, **{"--eps": eps})) == 2
+    assert not os.path.exists(out)
+    assert "[0, 1]" in capsys.readouterr().err
+
+
 def test_profiles_flag_writes_files(tmp_path):
     out = str(tmp_path / "rows.csv")
     profiles = tmp_path / "profiles"

@@ -13,7 +13,7 @@ from bhcp.methods import (
     assemble,
     residual,
 )
-from bhcp.space import LaplacianOperator, build_grid
+from bhcp.space import build_grid, laplacian_matrix
 
 from circulant_reference import step_matrix
 
@@ -148,7 +148,7 @@ def test_kronecker_identity(kind):
     c = step_matrix(system.n_levels, system.omega)
     eye_x = np.eye(system.n_space)
     eye_t = np.eye(system.n_levels)
-    lap = LaplacianOperator(system.grid).sparse().toarray()
+    lap = laplacian_matrix(system.grid).toarray()
     big = np.kron(c, eye_x) / tau - np.kron(eye_t, lap)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(system.size)

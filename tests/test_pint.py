@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_result_layout_and_timings():
     assert np.array_equal(result.final_state, result.trajectory[-1])
     steps = [result.timings[k] for k in ("step_a", "step_b", "step_c")]
     assert all(t >= 0 for t in steps)
+    assert result.timings["total"] == pytest.approx(sum(steps), abs=1e-9)
+
+
+def test_total_includes_diagonalize(monkeypatch):
+    def slow_diagonalize(*args):
+        time.sleep(0.02)
+        return diagonalize(*args)
+
+    monkeypatch.setattr(bhcp.pint, "diagonalize", slow_diagonalize)
+    result = solve_pint(pint_system())
+    assert result.timings["step_a"] >= 0.02
+    assert result.timings["total"] >= 0.02
+    steps = [result.timings[k] for k in ("step_a", "step_b", "step_c")]
     assert result.timings["total"] == pytest.approx(sum(steps), abs=1e-9)
 
 

@@ -10,11 +10,13 @@ import scipy.linalg
 
 from bhcp.space import (
     BATCH_BYTES,
-    LaplacianOperator,
     SingularShiftError,
+    SpatialGrid,
+    apply_laplacian,
     build_grid,
     grid_norm,
     laplacian_eigenvalues,
+    laplacian_matrix,
     map_level_batches,
     shifted_solve,
 )
@@ -45,6 +47,14 @@ def test_interior_coords_2d_c_order():
     assert np.allclose(x2, [h, 2 * h, h, 2 * h])
 
 
+@pytest.mark.parametrize("dim, cells", [(1, 2), (1, 9), (2, 3), (2, 7)])
+def test_grid_shape_is_interior_nodes_per_axis(dim, cells):
+    grid = build_grid(dim, np.pi, cells)
+    assert grid.shape == (cells - 1,) * dim
+    assert np.prod(grid.shape) == grid.n_interior
+    assert all(x.shape == (grid.n_interior,) for x in grid.interior_coords())
+
+
 @pytest.mark.parametrize("dim, length, cells", [(3, np.pi, 4), (1, 0.0, 4), (1, np.pi, 1)])
 def test_grid_rejects_bad_parameters(dim, length, cells):
     with pytest.raises(ValueError):
@@ -61,6 +71,16 @@ def test_grid_norm_weighting():
         grid_norm(np.ones(5), grid)
 
 
+@pytest.mark.parametrize("dim, cells", [(1, 9), (2, 6)])
+def test_laplacian_matrix_is_cached_per_grid(dim, cells):
+    grid = build_grid(dim, np.pi, cells)
+    same = SpatialGrid(grid.dim, grid.length, grid.num_cells)
+    assert laplacian_matrix(grid) is laplacian_matrix(same)
+    assert laplacian_matrix(grid) is not laplacian_matrix(
+        SpatialGrid(grid.dim, grid.length, grid.num_cells + 1)
+    )
+
+
 def test_smallest_eigenvalue_closed_form():
     grid = build_grid(1, np.pi, 2)
     spectrum = laplacian_eigenvalues(grid)
@@ -71,14 +91,14 @@ def test_smallest_eigenvalue_closed_form():
 def test_eigenvalues_match_dense_eigensolve_1d():
     grid = build_grid(1, np.pi, 4)
     mine = laplacian_eigenvalues(grid).eigenvalues
-    dense = scipy.linalg.eigvalsh(-LaplacianOperator(grid).sparse().toarray())
+    dense = scipy.linalg.eigvalsh(-laplacian_matrix(grid).toarray())
     assert np.allclose(mine, dense, rtol=1e-12, atol=0)
 
 
 def test_eigenvalues_match_dense_eigensolve_2d():
     grid = build_grid(2, np.pi, 5)
     mine = laplacian_eigenvalues(grid).eigenvalues
-    dense = scipy.linalg.eigvalsh(-LaplacianOperator(grid).sparse().toarray())
+    dense = scipy.linalg.eigvalsh(-laplacian_matrix(grid).toarray())
     assert np.allclose(mine, dense, rtol=1e-12, atol=1e-12 * dense[-1])
 
 
@@ -91,7 +111,7 @@ def test_tensor_sum_smallest_eigenvalue():
 @pytest.mark.parametrize("dim, cells", [(1, 32), (2, 8)])
 def test_negative_laplacian_positive_definite(dim, cells):
     grid = build_grid(dim, np.pi, cells)
-    dense = -LaplacianOperator(grid).sparse().toarray()
+    dense = -laplacian_matrix(grid).toarray()
     mu1 = laplacian_eigenvalues(grid).eigenvalues[0]
     assert scipy.linalg.eigvalsh(dense)[0] >= mu1 * (1 - 1e-10)
 
@@ -126,15 +146,23 @@ def test_transform_of_mode_is_unit_vector_2d():
     assert np.allclose(coeffs, expected, atol=1e-12)
 
 
+def test_mode_index_must_match_dimension():
+    with pytest.raises(ValueError, match="1 mode number"):
+        laplacian_eigenvalues(build_grid(1, np.pi, 8)).mode((2, 3))
+    with pytest.raises(ValueError, match="2 mode number"):
+        laplacian_eigenvalues(build_grid(2, np.pi, 8)).mode(3)
+    with pytest.raises(ValueError, match="out of range"):
+        laplacian_eigenvalues(build_grid(2, np.pi, 8)).mode((2, 8))
+
+
 @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 8)])
 def test_transform_diagonalizes_laplacian(dim, cells):
     # transform(lap x) must equal -mu * transform(x) coefficientwise
     grid = build_grid(dim, np.pi, cells)
     spectrum = laplacian_eigenvalues(grid)
-    lap = LaplacianOperator(grid)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(grid.n_interior)
-    lhs = spectrum.transform(lap.apply(x))
+    lhs = spectrum.transform(apply_laplacian(grid, x))
     rhs = -spectrum.mode_eigenvalues * spectrum.transform(x)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.linalg.norm(x)
 
@@ -142,11 +170,10 @@ def test_transform_diagonalizes_laplacian(dim, cells):
 @pytest.mark.parametrize("dim, cells", [(1, 9), (2, 6)])
 def test_apply_matches_sparse(dim, cells):
     grid = build_grid(dim, np.pi, cells)
-    lap = LaplacianOperator(grid)
     rng = np.random.default_rng(3)
     batch = rng.standard_normal((4, grid.n_interior))
-    dense = batch @ lap.sparse().toarray().T
-    assert np.allclose(lap.apply(batch), dense, atol=1e-13 * grid.h**-2)
+    dense = batch @ laplacian_matrix(grid).toarray().T
+    assert np.allclose(apply_laplacian(grid, batch), dense, atol=1e-13 * grid.h**-2)
 
 
 def test_shifted_solve_zero_rhs():
@@ -169,7 +196,7 @@ def test_shifted_solve_matches_dense_complex_lu():
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(15) + 1j * rng.standard_normal(15)
     s = 3.0 + 2.0j
-    matrix = s * np.eye(15) - LaplacianOperator(grid).sparse().toarray()
+    matrix = s * np.eye(15) - laplacian_matrix(grid).toarray()
     expected = np.linalg.solve(matrix, rhs)
     x = shifted_solve(grid, s, rhs)
     assert np.linalg.norm(x - expected) <= 1e-11 * np.linalg.norm(expected)
@@ -192,12 +219,12 @@ def test_backends_agree(dim, cells, shift):
 @pytest.mark.parametrize("dim, cells", [(1, 12), (2, 6)])
 def test_shifted_solve_residual(dim, cells):
     grid = build_grid(dim, np.pi, cells)
-    lap = LaplacianOperator(grid)
     rng = np.random.default_rng(29)
     rhs = rng.standard_normal(grid.n_interior)
     s = 7.0
     x = shifted_solve(grid, s, rhs)
-    assert np.linalg.norm(s * x - lap.apply(x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    residual = s * x - apply_laplacian(grid, x) - rhs
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_shifted_solve_real_data_stays_real():
