@@ -21,12 +21,7 @@ from .analysis import (
     stability_bound,
     theorem1_bound,
 )
-from .baseline import (
-    NNZ_BUDGET,
-    march_forward,
-    solve_sparse_lu,
-    solve_spectral_oracle,
-)
+from .baseline import NNZ_BUDGET, solve_sparse_lu, solve_spectral_oracle
 from .bench import (
     ExperimentConfig,
     SolveReport,
@@ -49,7 +44,6 @@ from .methods import (
     MethodSpec,
     SolveResult,
     assemble,
-    residual,
 )
 from .pint import solve_pint
 from .space import (

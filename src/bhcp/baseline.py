@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .circulant import TimeGrid
 from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult
-from .space import SpatialGrid, laplacian_eigenvalues, shifted_solve
+from .space import SpatialGrid, laplacian_eigenvalues
 
 # Largest estimated nonzero count of the all-at-once matrix that
 # solve_sparse_lu factors; bigger systems are refused as infeasible.
@@ -38,9 +38,10 @@ def solve_sparse_lu(
     Works for all four method kinds. When the estimated nonzero count
     exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the solve is refused
     with status "infeasible" and no timings (the factorization would dwarf
-    the fast solver's footprint at that scale); the estimate is cheap and
-    never builds the big matrix. timings["total"] runs from entry, so it
-    covers the estimate, the assembly of the matrix and its factorization.
+    the fast solver's footprint at that scale); the estimate reads shapes
+    only, so a refusal builds no matrix at all. timings["total"] runs from
+    entry, so it covers the estimate, the assembly of the matrix and its
+    factorization.
     """
     start = time.perf_counter()
     budget = NNZ_BUDGET if nnz_budget is None else nnz_budget
@@ -79,12 +80,10 @@ def solve_spectral_oracle(
     eliminating the stepping rows leaves yhat^0_k = ghat_k / D_k with a
     method-specific D_k, then yhat^n_k = rho_k^n yhat^0_k rebuilds the whole
     trajectory. D_k is strictly positive for alpha > 0, so this never fails.
+    The result carries the assembled system, which also checks the shape of
+    ``data``, so residual checks are uniform across solvers.
     """
-    data = np.asarray(data, dtype=float)
-    if data.shape != (grid.n_interior,):
-        raise ValueError(
-            f"final data must have shape ({grid.n_interior},), got {data.shape}"
-        )
+    system = AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
     start = time.perf_counter()
     spectrum = laplacian_eigenvalues(grid)
     mu = spectrum.mode_eigenvalues
@@ -99,35 +98,15 @@ def solve_spectral_oracle(
         denom = alpha * (1.0 + tau * mu) + decay
     else:
         denom = alpha * (mu + 1.0 / tau) + decay
-    amplitudes = spectrum.transform(data) / denom
+    amplitudes = spectrum.transform(system.data) / denom
     levels = np.arange(timegrid.n_levels)
     trajectory = spectrum.transform(
         amplitudes[None, :] * rho[None, :] ** levels[:, None]
     )
     elapsed = time.perf_counter() - start
-    # The oracle never assembles anything, but carrying the system keeps
-    # residual checks uniform across solvers.
-    system = AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
     return SolveResult(
         system=system,
         trajectory=trajectory,
         solver="spectral-oracle",
         timings={"total": elapsed},
     )
-
-
-def march_forward(
-    initial: np.ndarray, timegrid: TimeGrid, grid: SpatialGrid
-) -> np.ndarray:
-    """Run the plain backward Euler recursion from a given initial state.
-
-    Each step solves (I/tau - lap) y^n = y^{n-1}/tau. Marching the
-    reconstructed initial state forward and plugging it into a method's
-    final condition is an end-to-end consistency check that does not reuse
-    the all-at-once machinery.
-    """
-    state = np.asarray(initial, dtype=float)
-    inv_tau = 1.0 / timegrid.tau
-    for _ in range(timegrid.num_steps):
-        state = shifted_solve(grid, inv_tau, state * inv_tau)
-    return state

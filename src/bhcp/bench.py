@@ -265,20 +265,30 @@ def emit_csv(reports, path: str) -> None:
 
 
 def parse_csv(path: str) -> list:
-    """Read back what emit_csv wrote, reconstructing typed SolveReports."""
+    """Read back what emit_csv wrote, reconstructing typed SolveReports.
+
+    Raises ValueError on a wrong header or on a row whose cell count is not
+    the header's, naming the line.
+    """
+    columns = CSV_COLUMNS.split(",")
     with open(path) as handle:
         header = handle.readline().strip()
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header!r}")
         types = get_type_hints(SolveReport)
         reports = []
-        for line in handle:
+        for number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ValueError(
+                    f"{path}, line {number}: {len(cells)} cells where the "
+                    f"header has {len(columns)}"
+                )
             kwargs = {
-                column: types[column](cell)
-                for column, cell in zip(CSV_COLUMNS.split(","), line.split(","))
+                column: types[column](cell) for column, cell in zip(columns, cells)
             }
             reports.append(SolveReport(**kwargs))
     return reports

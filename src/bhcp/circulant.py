@@ -67,11 +67,6 @@ class TimeGrid:
         """Number of carried time levels, num_steps + 1."""
         return self.num_steps + 1
 
-    @property
-    def times(self) -> np.ndarray:
-        """All carried time levels 0, tau, ..., horizon, shape (n_levels,)."""
-        return self.tau * np.arange(self.n_levels)
-
 
 @dataclass(frozen=True)
 class CirculantDiagonalization:

@@ -173,8 +173,12 @@ class AllAtOnceSystem:
         return self._sparse
 
     def estimated_nnz(self) -> int:
-        """Upper bound on sparse() nonzeros, cheap enough to gate big solves."""
-        lap_nnz = laplacian_matrix(self.grid).nnz
+        """Upper bound on sparse() nonzeros, read from shapes only.
+
+        A stencil row has at most 2*dim+1 entries, so no matrix is built
+        and a solve this estimate refuses costs no assembly.
+        """
+        lap_nnz = self.n_space * (2 * self.grid.dim + 1)
         return int(
             self.time_coupling.nnz * self.n_space
             + int(np.count_nonzero(self.lap_levels)) * lap_nnz
@@ -227,30 +231,16 @@ def assemble(
     return AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
 
 
-def residual(system: AllAtOnceSystem, states: np.ndarray) -> tuple[np.ndarray, float]:
-    """Residual vector rhs - A y and its norm relative to the rhs.
-
-    The relative norm is reported in the h**(dim/2)-weighted discrete norm;
-    the weight is uniform so it cancels in the ratio.
-    """
-    # rhs is zero off level 0, so rhs - A y is formed in place from A y.
-    vec = system.apply(np.asarray(states).ravel())
-    np.negative(vec, out=vec)
-    level0 = system.condition_rhs()
-    vec[: system.n_space] += level0
-    return vec, float(np.linalg.norm(vec) / np.linalg.norm(level0))
-
-
 @dataclass
 class SolveResult:
     """Outcome of one all-at-once solve.
 
     ``trajectory`` has shape (n_levels, n_space); row 0 is the reconstructed
     initial state, the deliverable of the whole computation. ``timings`` maps
-    phase names to wall-clock seconds ("total" always present; the fast
-    solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok" for a
-    completed solve or "infeasible" when a guarded solver refused the size;
-    then trajectory is None and message says why.
+    phase names to wall-clock seconds ("total" on every completed solve;
+    the fast solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok"
+    for a completed solve or "infeasible" when a guarded solver refused the
+    size; then trajectory is None, timings is empty and message says why.
     """
 
     system: AllAtOnceSystem
@@ -266,14 +256,16 @@ class SolveResult:
             raise ValueError(f"no solution available (status={self.status!r})")
         return self.trajectory[0]
 
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.trajectory is None:
-            raise ValueError(f"no solution available (status={self.status!r})")
-        return self.trajectory[-1]
-
     def residual_norm(self) -> float:
-        """Relative residual of the trajectory, nan for refused solves."""
+        """Relative residual ||rhs - A y|| / ||rhs||, nan for refused solves.
+
+        rhs is zero off level 0, so the norm is taken of A y minus the
+        condition right-hand side, formed in place; the sign does not change
+        it. The weight of the discrete norm is uniform and cancels.
+        """
         if self.trajectory is None:
             return float("nan")
-        return residual(self.system, self.trajectory)[1]
+        vec = self.system.apply(self.trajectory.ravel())
+        level0 = self.system.condition_rhs()
+        vec[: self.system.n_space] -= level0
+        return float(np.linalg.norm(vec) / np.linalg.norm(level0))

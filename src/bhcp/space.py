@@ -224,26 +224,6 @@ class SpatialSpectrum:
             field[...] = out
         return field
 
-    def mode(self, index) -> np.ndarray:
-        """Orthonormal discrete sine mode as a flat interior-node vector.
-
-        ``index`` holds a 1-based mode number per axis: an int in 1D, a pair
-        (k1, k2) in 2D.
-        """
-        grid = self.grid
-        m = grid.num_cells - 1
-        numbers = np.atleast_1d(index)
-        if numbers.shape != (grid.dim,):
-            raise ValueError(f"mode index {index!r} needs {grid.dim} mode number(s)")
-        if not all(1 <= k <= m for k in numbers):
-            raise ValueError(f"mode index {index} out of range 1..{m}")
-        j = np.arange(1, m + 1)
-        factors = [
-            np.sqrt(2.0 / (m + 1)) * np.sin(int(k) * j * np.pi / (m + 1))
-            for k in numbers
-        ]
-        return functools.reduce(np.multiply.outer, factors).ravel()
-
 
 @functools.lru_cache(maxsize=64)
 def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:

@@ -1,0 +1,61 @@
+"""References the solvers are checked against: sine modes, marching, residuals.
+
+Each is built from the package's public pieces by the plainest route: a mode
+entry by entry from its sine formula, the forward recursion one shifted solve
+per step, and the residual as the full vector rhs - A y.
+"""
+
+import functools
+
+import numpy as np
+
+from bhcp.circulant import TimeGrid
+from bhcp.methods import AllAtOnceSystem
+from bhcp.space import SpatialGrid, shifted_solve
+
+
+def sine_mode(grid: SpatialGrid, index) -> np.ndarray:
+    """Orthonormal discrete sine mode as a flat interior-node vector.
+
+    ``index`` holds a 1-based mode number per axis: an int in 1D, a pair
+    (k1, k2) in 2D.
+    """
+    m = grid.num_cells - 1
+    numbers = np.atleast_1d(index)
+    if numbers.shape != (grid.dim,):
+        raise ValueError(f"mode index {index!r} needs {grid.dim} mode number(s)")
+    if not all(1 <= k <= m for k in numbers):
+        raise ValueError(f"mode index {index} out of range 1..{m}")
+    j = np.arange(1, m + 1)
+    factors = [
+        np.sqrt(2.0 / (m + 1)) * np.sin(int(k) * j * np.pi / (m + 1))
+        for k in numbers
+    ]
+    return functools.reduce(np.multiply.outer, factors).ravel()
+
+
+def march_forward(
+    initial: np.ndarray, timegrid: TimeGrid, grid: SpatialGrid
+) -> np.ndarray:
+    """Run the plain backward Euler recursion from a given initial state.
+
+    Each step solves (I/tau - lap) y^n = y^{n-1}/tau. Marching the
+    reconstructed initial state forward and plugging it into a method's
+    final condition is an end-to-end consistency check that does not reuse
+    the all-at-once machinery.
+    """
+    state = np.asarray(initial, dtype=float)
+    inv_tau = 1.0 / timegrid.tau
+    for _ in range(timegrid.num_steps):
+        state = shifted_solve(grid, inv_tau, state * inv_tau)
+    return state
+
+
+def residual(system: AllAtOnceSystem, states: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residual vector rhs - A y and its norm relative to the rhs.
+
+    The rhs is zero off level 0, so its norm is taken over that level alone.
+    """
+    vec = system.rhs() - system.apply(np.asarray(states).ravel())
+    level0 = system.condition_rhs()
+    return vec, float(np.linalg.norm(vec) / np.linalg.norm(level0))

@@ -24,11 +24,12 @@ from bhcp.analysis import (
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import ExperimentConfig, run_experiment
 from bhcp.circulant import TimeGrid, diagonalize
-from bhcp.methods import MethodKind, assemble, residual
+from bhcp.methods import MethodKind, assemble
 from bhcp.pint import solve_pint
 from bhcp.space import build_grid
 
 from circulant_reference import reconstruct, step_matrix
+from solver_reference import residual
 
 ALPHAS = (1e-1, 1e-3, 1e-6)
 HORIZON = 1.0

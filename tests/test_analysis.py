@@ -16,10 +16,11 @@ from bhcp.analysis import (
     stability_bound,
     theorem1_bound,
 )
-from bhcp.baseline import march_forward
 from bhcp.circulant import TimeGrid
 from bhcp.methods import MethodKind
 from bhcp.space import build_grid, grid_norm
+
+from solver_reference import march_forward
 
 
 def random_coefficients(rng, modes=20):

@@ -1,22 +1,25 @@
 """Sparse LU baseline, the per-mode closed form, and forward marching."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 import bhcp.baseline
-from bhcp.baseline import (
-    NNZ_BUDGET,
-    march_forward,
-    solve_sparse_lu,
-    solve_spectral_oracle,
-)
+from bhcp.baseline import NNZ_BUDGET, solve_sparse_lu, solve_spectral_oracle
 from bhcp.circulant import TimeGrid
-from bhcp.methods import AllAtOnceSystem, MethodKind, assemble, residual
+from bhcp.methods import AllAtOnceSystem, MethodKind, assemble
 from bhcp.pint import solve_pint
-from bhcp.space import apply_laplacian, build_grid, laplacian_eigenvalues
+from bhcp.space import (
+    apply_laplacian,
+    build_grid,
+    laplacian_eigenvalues,
+    laplacian_matrix,
+)
+
+from solver_reference import march_forward, residual, sine_mode
 
 ALL_KINDS = tuple(MethodKind)
 
@@ -111,13 +114,30 @@ def test_default_budget_refuses_2d_benchmark_scale():
     assert result.status == "infeasible"
 
 
+def test_refused_sparse_lu_builds_nothing():
+    grid = build_grid(2, np.pi, 512)
+    system = assemble(
+        MethodKind.QBVM, 0.1, grid, TimeGrid(1.0, 512), np.zeros(grid.n_interior)
+    )
+    laplacian_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        result = solve_sparse_lu(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "infeasible"
+    assert laplacian_matrix.cache_info().currsize == 0
+    assert peak < 1024**2
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_oracle_single_mode(kind):
     grid = build_grid(1, np.pi, 8)
     timegrid = TimeGrid(1.0, 8)
     spectrum = laplacian_eigenvalues(grid)
     k, alpha = 2, 0.05
-    mode = spectrum.mode(k)
+    mode = sine_mode(grid, k)
     result = solve_spectral_oracle(kind, alpha, grid, timegrid, mode)
     denom = mode_denominator(
         kind, alpha, timegrid.tau, spectrum.eigenvalues[k - 1], timegrid.num_steps
@@ -138,7 +158,7 @@ def test_oracle_trajectory_decays_per_mode():
     grid = build_grid(1, np.pi, 8)
     timegrid = TimeGrid(1.0, 4)
     spectrum = laplacian_eigenvalues(grid)
-    mode = spectrum.mode(3)
+    mode = sine_mode(grid, 3)
     result = solve_spectral_oracle(MethodKind.QBVM, 0.1, grid, timegrid, mode)
     rho = 1.0 / (1.0 + timegrid.tau * spectrum.eigenvalues[2])
     for n in range(timegrid.n_levels):
@@ -152,7 +172,7 @@ def test_oracle_tiny_alpha_amplifies_all_modes():
     grid = build_grid(1, np.pi, 8)
     timegrid = TimeGrid(1.0, 8)
     spectrum = laplacian_eigenvalues(grid)
-    g = spectrum.mode(1) + 0.2 * spectrum.mode(5)
+    g = sine_mode(grid, 1) + 0.2 * sine_mode(grid, 5)
     result = solve_spectral_oracle(MethodKind.QBVM, 1e-12, grid, timegrid, g)
     rho = 1.0 / (1.0 + timegrid.tau * spectrum.eigenvalues)
     expected = spectrum.transform(spectrum.transform(g) / rho**8)
@@ -178,7 +198,7 @@ def test_march_decays_eigenmode():
     grid = build_grid(1, np.pi, 8)
     timegrid = TimeGrid(1.0, 5)
     spectrum = laplacian_eigenvalues(grid)
-    mode = spectrum.mode(2)
+    mode = sine_mode(grid, 2)
     rho = 1.0 / (1.0 + timegrid.tau * spectrum.eigenvalues[1])
     out = march_forward(mode, timegrid, grid)
     assert np.allclose(out, rho**5 * mode, atol=1e-12)
@@ -188,7 +208,7 @@ def test_march_single_step():
     grid = build_grid(1, np.pi, 8)
     timegrid = TimeGrid(1.0, 1)
     spectrum = laplacian_eigenvalues(grid)
-    mode = spectrum.mode(1)
+    mode = sine_mode(grid, 1)
     rho = 1.0 / (1.0 + timegrid.tau * spectrum.eigenvalues[0])
     assert np.allclose(march_forward(mode, timegrid, grid), rho * mode, atol=1e-13)
 

@@ -284,6 +284,22 @@ def test_csv_header_check(tmp_path):
         parse_csv(path)
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [lambda row: row + ",extra", lambda row: row.rsplit(",", 2)[0]],
+    ids=["extra-cell", "short-row"],
+)
+def test_csv_row_with_wrong_cell_count_is_rejected(tmp_path, mangle):
+    path = str(tmp_path / "rows.csv")
+    emit_csv(run_experiment(small_config(methods=PINT_KINDS[:1])), path)
+    with open(path) as handle:
+        header, row = handle.read().splitlines()
+    with open(path, "w") as handle:
+        handle.write(f"{header}\n{mangle(row)}\n")
+    with pytest.raises(ValueError, match="line 2"):
+        parse_csv(path)
+
+
 def test_profile_path_format(tmp_path):
     report = SolveReport(
         method="pint-qbvm", example=1, dim=1, M=64, N=32, eps=0.001, seed=42,
@@ -365,6 +381,36 @@ def test_perfbench_selftest_passes():
     done = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "selftest.py")],
         cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+PER_LAYER_SCRIPT = """
+import math, sys
+import selftest  # imports run, which pins threads before numpy loads
+from selftest import harness, run, spans
+for workload in (selftest.TINY_PINT, selftest.TINY_LU):
+    untraced, traced = harness.Phase(), harness.Phase(tracer=spans.Tracer())
+    harness.measure(workload, 5, 1e-9, sys.argv[1], [untraced, traced])
+    metrics = run.per_layer(workload, traced, untraced, 0)
+    bad = [m[0] for m in run.LAYER_METRICS
+           if not math.isfinite(metrics.get(m[0], math.nan))]
+    assert not bad, (workload.name, bad)
+"""
+
+
+def test_benchmark_per_layer_report_is_finite(tmp_path):
+    # The per-layer report also reads attributes of systems and results
+    # (time_coupling, lap_levels, rhs(), timings, initial_state) that the
+    # boundary check below cannot see. A child process, because importing
+    # perfbench's run pins the thread environment of the whole process.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", PER_LAYER_SCRIPT, str(tmp_path / "sweep.csv")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "perfbench")),
         capture_output=True,
         text=True,
         timeout=300,

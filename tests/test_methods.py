@@ -5,17 +5,15 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import NOISE_FREE_ALPHA, resolve_alpha
 from bhcp.circulant import TimeGrid
-from bhcp.methods import (
-    MethodKind,
-    MethodSpec,
-    assemble,
-    residual,
-)
+from bhcp.methods import MethodKind, MethodSpec, assemble
+from bhcp.pint import solve_pint
 from bhcp.space import build_grid, laplacian_matrix
 
 from circulant_reference import step_matrix
+from solver_reference import residual
 
 ALL_KINDS = tuple(MethodKind)
 
@@ -224,7 +222,22 @@ def test_residual_after_direct_solve(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("dim, m, n", [(1, 8, 8), (2, 6, 5)])
+@pytest.mark.parametrize("dim, m", [(1, 12), (2, 6)])
+def test_residual_norm_is_reference_norm_bitwise(kind, dim, m):
+    system = small_system(kind, alpha=1e-2, m=m, n=7, dim=dim)
+    results = [
+        solve_sparse_lu(system),
+        solve_spectral_oracle(kind, 1e-2, system.grid, system.timegrid, system.data),
+    ]
+    if kind.is_circulant:
+        results.append(solve_pint(system))
+    for result in results:
+        reference = residual(result.system, result.trajectory)[1]
+        assert result.residual_norm() == reference, result.solver
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dim, m, n", [(1, 8, 8), (2, 6, 5), (2, 3, 4), (1, 2, 3)])
 def test_estimated_nnz_bounds_actual(kind, dim, m, n):
     grid = build_grid(dim, np.pi, m)
     data = np.ones(grid.n_interior)

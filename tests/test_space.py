@@ -22,6 +22,7 @@ from bhcp.space import (
 )
 
 from banded_reference import banded_solve
+from solver_reference import sine_mode
 
 
 @pytest.mark.parametrize(
@@ -130,7 +131,7 @@ def test_transform_of_mode_is_unit_vector_1d():
     grid = build_grid(1, np.pi, 8)
     spectrum = laplacian_eigenvalues(grid)
     for k in (1, 3, 7):
-        coeffs = spectrum.transform(spectrum.mode(k))
+        coeffs = spectrum.transform(sine_mode(grid, k))
         expected = np.zeros(grid.n_interior)
         expected[k - 1] = 1.0
         assert np.allclose(coeffs, expected, atol=1e-12)
@@ -140,7 +141,7 @@ def test_transform_of_mode_is_unit_vector_2d():
     grid = build_grid(2, np.pi, 5)
     spectrum = laplacian_eigenvalues(grid)
     m = grid.num_cells - 1
-    coeffs = spectrum.transform(spectrum.mode((2, 3)))
+    coeffs = spectrum.transform(sine_mode(grid, (2, 3)))
     expected = np.zeros(grid.n_interior)
     expected[(2 - 1) * m + (3 - 1)] = 1.0
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -148,11 +149,11 @@ def test_transform_of_mode_is_unit_vector_2d():
 
 def test_mode_index_must_match_dimension():
     with pytest.raises(ValueError, match="1 mode number"):
-        laplacian_eigenvalues(build_grid(1, np.pi, 8)).mode((2, 3))
+        sine_mode(build_grid(1, np.pi, 8), (2, 3))
     with pytest.raises(ValueError, match="2 mode number"):
-        laplacian_eigenvalues(build_grid(2, np.pi, 8)).mode(3)
+        sine_mode(build_grid(2, np.pi, 8), 3)
     with pytest.raises(ValueError, match="out of range"):
-        laplacian_eigenvalues(build_grid(2, np.pi, 8)).mode((2, 8))
+        sine_mode(build_grid(2, np.pi, 8), (2, 8))
 
 
 @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 8)])
@@ -186,7 +187,7 @@ def test_shifted_solve_eigenvector_case():
     spectrum = laplacian_eigenvalues(grid)
     s = 2.5
     for k in (1, 4):
-        mode = spectrum.mode(k)
+        mode = sine_mode(grid, k)
         x = shifted_solve(grid, s, mode)
         assert np.allclose(x, mode / (s + spectrum.eigenvalues[k - 1]), atol=1e-14)
 
