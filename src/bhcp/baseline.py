@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .circulant import TimeGrid
 from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult
-from .space import SpatialGrid, laplacian_eigenvalues
+from .space import SpatialGrid, laplacian_eigenvalues, level_batches
 
 # Largest estimated nonzero count of the all-at-once matrix that
 # solve_sparse_lu factors; bigger systems are refused as infeasible.
@@ -100,9 +100,12 @@ def solve_spectral_oracle(
         denom = alpha * (mu + 1.0 / tau) + decay
     amplitudes = spectrum.transform(system.data) / denom
     levels = np.arange(timegrid.n_levels)
-    trajectory = spectrum.transform(
-        amplitudes[None, :] * rho[None, :] ** levels[:, None]
-    )
+    trajectory = np.empty((timegrid.n_levels, grid.n_interior))
+    # Filled and transformed in place, so the trajectory is the only
+    # full-size array.
+    for lo, hi in level_batches(0, timegrid.n_levels, trajectory[0].nbytes):
+        np.multiply(amplitudes, rho ** levels[lo:hi, None], out=trajectory[lo:hi])
+    spectrum.transform(trajectory, overwrite=True)
     elapsed = time.perf_counter() - start
     return SolveResult(
         system=system,

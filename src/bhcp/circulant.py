@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .space import WORKERS, map_level_batches
+from .space import WORKERS, level_batches
 
 
 # Bound on the imaginary residue of from_eigenspace, relative to the result.
@@ -121,8 +121,9 @@ def from_eigenspace(
     """Consume a time-major block in the eigenbasis; return the real V @ block.
 
     Computes V @ block along the leading (time) axis of ``block``, shape
-    (size, ...): one FFT along that axis on all CPUs, then Gamma^{-1} in
-    batches of time levels on the level-batch pool. The systems and
+    (size, ...): one FFT along that axis on scipy's workers, then one pass
+    over batches of time levels in the calling thread that applies
+    Gamma^{-1}, sums the squares and packs the real parts. The systems and
     right-hand sides upstream are real, so the imaginary part must be
     roundoff; it is checked against 1e-8 * norm(result) and discarded.
 
@@ -165,34 +166,20 @@ def from_eigenspace(
     del fourier
     rows = block.reshape(diag.size, -1)
     inverse_gamma = 1.0 / diag.gamma[:, None]
-    # Interleaved (real, imag) pairs per level. Right after a batch of
-    # levels is scaled, its squared norms are taken and its real parts are
-    # packed down to the front of the buffer: level j's go into level j//2.
-    # The batches go in waves, levels [0, 1), [1, 2), [2, 4), [4, 8), ...,
-    # each wave after the whole previous one, so for j >= 1 level j//2 is
-    # below the batch's wave and already done.
+    # Interleaved (real, imag) pairs per level. The real parts of level j
+    # are packed down into level j//2, which an ascending loop has already
+    # scaled and summed; numpy buffers a copy that overlaps its own source.
     pairs = rows.view(np.float64)
     packed = block.reshape(-1).view(np.float64)[:size].reshape(shape[0], -1)
-
-    def scale_and_pack(lo, hi):
+    real_sq = imag_sq = 0.0
+    for lo, hi in level_batches(0, diag.size, rows[0].nbytes):
         rows[lo:hi] *= inverse_gamma[lo:hi]
         batch = pairs[lo:hi].reshape(-1)
         real, imag = batch[0::2], batch[1::2]
-        norms = float(real @ real), float(imag @ imag)
+        real_sq += float(real @ real)
+        imag_sq += float(imag @ imag)
         packed[lo:hi] = pairs[lo:hi, 0::2]
-        return norms
-
-    # Summed in level order, so the sums do not depend on the CPU count.
-    real_sq = imag_sq = 0.0
-    lo, hi = 0, 1
-    while lo < diag.size:
-        for batch_real, batch_imag in map_level_batches(
-            scale_and_pack, lo, hi, rows[0].nbytes
-        ):
-            real_sq += batch_real
-            imag_sq += batch_imag
-        lo, hi = hi, min(2 * hi, diag.size)
-    del rows, pairs, packed
+    del rows, pairs, packed, batch, real, imag
     scale = np.sqrt(real_sq + imag_sq)
     residue = np.sqrt(imag_sq)
     if residue > IMAGINARY_TOL * max(scale, np.finfo(float).tiny):

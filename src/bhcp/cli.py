@@ -6,14 +6,16 @@ One subcommand, ``run``, executes an experiment matrix and writes a CSV:
         --mesh 1024x1024 --eps 1e-1,1e-3 --seed 7 --out results.csv
 
 Exit status is 0 when every row completed or was refused by a size guard
-(refusals are expected outcomes, reported as status=infeasible), and 1 when
-any row errored. A reproducibility banner echoing the resolved configuration
+(refusals are expected outcomes, reported as status=infeasible), 1 when any
+row errored, and 2 when the configuration or an output path was rejected
+before any run. A reproducibility banner echoing the resolved configuration
 is printed before the runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -106,6 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(out: str, profiles: Optional[str]) -> None:
+    """Reject an unwritable CSV path and create the profile directory.
+
+    Both are settled before the sweep, so a bad path loses no results.
+    """
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {out!r}: directory {parent!r} does not exist")
+    if profiles is not None:
+        try:
+            os.makedirs(profiles, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--profiles {profiles!r}: {exc.strerror}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.method == "all":
@@ -124,6 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             repeats=args.repeats,
             profiles_dir=args.profiles,
         )
+        _check_outputs(args.out, args.profiles)
     except ValueError as exc:
         print(f"bhcp: {exc}", file=sys.stderr)
         return 2

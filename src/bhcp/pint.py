@@ -12,13 +12,14 @@ solve into three steps on one time-major (n_levels, n_space) complex block:
   a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
   solved, by one call of space.shifted_solve that transforms the field once
   and writes its batches of levels straight into the block on the
-  level-batch pool; a second pooled pass fills in the conjugates.
+  level-batch pool; one conjugating copy then fills in the other levels.
 - Step C rotates back with one in-place FFT along the time axis plus the
   realness check (circulant.from_eigenspace), and builds the real trajectory
-  in the block's own memory. The FFT runs on all CPUs, the rest on the pool.
+  in the block's own memory. The FFT runs on scipy's workers, the rest in
+  the calling thread.
 
-The pool spreads work over the CPUs the process may run on; the result is
-bitwise the same as on one CPU.
+Step B's batches are the only work on the pool, which spreads them over the
+CPUs the process may run on; the result is bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
 its peak memory is the complex block, about two trajectories.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .circulant import diagonalize, from_eigenspace
 from .methods import AllAtOnceSystem, SolveResult
-from .space import map_level_batches, shifted_solve
+from .space import shifted_solve
 
 
 def solve_pint(system: AllAtOnceSystem) -> SolveResult:
@@ -62,12 +63,8 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     paired = n_levels - half
 
     shifted_solve(system.grid, shifts[:half], field, out=block[:half])
-
-    def mirror_levels(lo, hi):
-        # Level N-j is the conjugate of level j.
-        np.conjugate(block[lo:hi][::-1], out=block[n_levels - hi : n_levels - lo])
-
-    map_level_batches(mirror_levels, 0, paired, block[0].nbytes)
+    # Level N-j is the conjugate of level j; the two ranges do not overlap.
+    np.conjugate(block[:paired][::-1], out=block[half:])
     t_b = time.perf_counter()
 
     trajectory = from_eigenspace(block, diag)

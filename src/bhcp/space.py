@@ -7,9 +7,11 @@ sine basis, which gives O(N log M) solves of (s*I - lap) for arbitrary
 complex shifts s. Those shifted solves are the spatial kernel of every
 solver in this package.
 
-The module also holds the level-batch pool: every batched pass over a
-time-major space-time block maps its batches of time levels through
-map_level_batches, which runs them on all CPUs of the process.
+The module also holds the one split of a time-major space-time block into
+batches of time levels, level_batches, and the pool that runs the batches
+of shifted_solve on all CPUs of the process. That is the package's one
+thread pool; every other batched pass walks level_batches in the calling
+thread, in level order.
 """
 
 from __future__ import annotations
@@ -49,19 +51,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
-def map_level_batches(fn, start: int, stop: int, row_nbytes: int) -> list:
-    """Return [fn(lo, hi), ...] over batches of time levels covering [start, stop).
+def level_batches(start: int, stop: int, row_nbytes: int) -> list:
+    """The (lo, hi) bounds of the batches of time levels covering [start, stop).
 
     Each batch holds at most BATCH_BYTES of rows of ``row_nbytes`` bytes (at
-    least one row); the split depends on nothing else. The batches run on a
-    thread pool with one worker per CPU of the process, inline when there is
-    one CPU or one batch, so two calls of ``fn`` must never write to the same
-    place, and ``fn`` must not use the pool itself (it could wait on its own
-    worker). Results come back in batch order. Every batch has finished when
-    this returns or raises; an exception is that of the first failed batch.
+    least one row), in ascending order; the split depends on nothing else.
     """
     step = max(1, BATCH_BYTES // max(row_nbytes, 1))
-    bounds = [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+    return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
+def map_level_batches(fn, start: int, stop: int, row_nbytes: int) -> list:
+    """Return [fn(lo, hi), ...] over level_batches(start, stop, row_nbytes).
+
+    The batches run on a thread pool with one worker per CPU of the process,
+    inline when there is one CPU or one batch, so two calls of ``fn`` must
+    never write to the same place, and ``fn`` must not use the pool itself
+    (it could wait on its own worker). Results come back in batch order.
+    Every batch has finished when this returns or raises; an exception is
+    that of the first failed batch.
+    """
+    bounds = level_batches(start, stop, row_nbytes)
     if WORKERS == 1 or len(bounds) <= 1:
         return [fn(lo, hi) for lo, hi in bounds]
     futures = [_executor().submit(fn, lo, hi) for lo, hi in bounds]
@@ -162,7 +172,8 @@ def apply_laplacian(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
         lower = (..., slice(None, -1)) + after
         out[upper] += field[lower]
         out[lower] += field[upper]
-    return (out * (1.0 / grid.h**2)).reshape(values.shape)
+    out *= 1.0 / grid.h**2
+    return out.reshape(values.shape)
 
 
 @functools.lru_cache(maxsize=8)

@@ -188,6 +188,24 @@ def test_oracle_validates_data_shape():
         )
 
 
+def test_oracle_peak_memory_is_the_trajectory():
+    # The trajectory is filled and transformed in place, so no second
+    # full-size array is live at any point.
+    grid = build_grid(2, np.pi, 96)
+    timegrid = TimeGrid(1.0, 96)
+    data = np.random.default_rng(5).standard_normal(grid.n_interior)
+    solve_spectral_oracle(MethodKind.PINT_QBVM, 1e-3, grid, timegrid, data)
+    tracemalloc.start()
+    try:
+        result = solve_spectral_oracle(
+            MethodKind.PINT_QBVM, 1e-3, grid, timegrid, data
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * result.trajectory.nbytes
+
+
 def test_march_zero_stays_zero():
     grid = build_grid(1, np.pi, 8)
     out = march_forward(np.zeros(7), TimeGrid(1.0, 8), grid)

@@ -125,6 +125,31 @@ def test_profiles_flag_writes_files(tmp_path):
     assert files[0].name.startswith("ex1_pint-qbvm_M16_N8")
 
 
+def test_out_in_a_missing_directory_is_rejected_before_the_sweep(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "rows.csv")
+    assert main(run_args(out)) == 2
+    captured = capsys.readouterr()
+    assert "does not exist" in captured.err
+    assert "# bhcp run" not in captured.out
+
+
+def test_out_that_is_a_directory_is_rejected_before_the_sweep(tmp_path, capsys):
+    assert main(run_args(str(tmp_path))) == 2
+    captured = capsys.readouterr()
+    assert "is a directory" in captured.err
+    assert "# bhcp run" not in captured.out
+
+
+def test_profiles_under_a_file_is_rejected_before_the_sweep(tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = run_args(out, **{"--profiles": str(blocker / "profiles")})
+    assert main(argv) == 2
+    assert not os.path.exists(out)
+    assert "--profiles" in capsys.readouterr().err
+
+
 def test_infeasible_rows_exit_zero(tmp_path, capsys):
     # a refusal is an expected outcome, not an error
     out = str(tmp_path / "rows.csv")

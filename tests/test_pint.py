@@ -1,5 +1,6 @@
 """The 3-step FFT solver against baselines, plus its batched middle step."""
 
+import concurrent.futures
 import inspect
 import os
 import re
@@ -246,7 +247,25 @@ def test_pooled_solve_with_more_threads_than_cores(monkeypatch):
         space._executor.cache_clear()
 
 
-def test_imaginary_residue_error_from_pooled_step_c():
+def test_only_step_b_reaches_the_pool(monkeypatch):
+    # Step B's shifted solves are the one threaded pass; the conjugate fill,
+    # step C and the residual run in the calling thread.
+    submitted = set()
+
+    class Recorder:
+        def submit(self, fn, *args):
+            submitted.add(fn.__qualname__)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(space, "WORKERS", 2)
+    monkeypatch.setattr(space, "_executor", Recorder)
+    solve_pint(pint_system(m=64, n=40, dim=2)).residual_norm()
+    assert submitted == {"shifted_solve.<locals>.solve_rows"}
+
+
+def test_imaginary_residue_error_from_step_c():
     # Clean example-1 data at alpha = 1e-10 is past what the change of basis
     # resolves; the realness check still refuses it, with the same numbers.
     grid = build_grid(1, np.pi, 256)
