@@ -45,7 +45,7 @@ from .methods import (
     SolveResult,
     assemble,
 )
-from .pint import solve_pint
+from .pint import BLOCK_BUDGET, solve_pint
 from .space import (
     SingularShiftError,
     SpatialGrid,

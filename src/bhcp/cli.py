@@ -113,6 +113,8 @@ def _check_outputs(out: str, profiles: Optional[str]) -> None:
 
     Both are settled before the sweep, so a bad path loses no results.
     """
+    if not out:
+        raise ValueError("--out is empty")
     if os.path.isdir(out):
         raise ValueError(f"--out {out!r} is a directory")
     parent = os.path.dirname(out) or "."

@@ -90,7 +90,7 @@ class AllAtOnceSystem:
     in factored form: a small sparse time-coupling matrix K plus a per-level
     Laplacian switch, so apply() costs O(n_levels * n_space) without ever
     forming the big Kronecker matrix. sparse() builds the explicit form on
-    demand (cached) for the LU baseline.
+    demand for the LU baseline, anew on each call.
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class AllAtOnceSystem:
         self.timegrid = timegrid
         self.data = data
         self.time_coupling, self.lap_levels = _time_coupling(method, timegrid)
-        self._sparse = None
 
     @property
     def n_levels(self) -> int:
@@ -160,14 +159,12 @@ class AllAtOnceSystem:
 
     def sparse(self) -> scipy.sparse.csr_matrix:
         """Explicit sparse form kron(K, I) - kron(diag(switch), lap)."""
-        if self._sparse is None:
-            eye = scipy.sparse.identity(self.n_space, format="csr")
-            switch = scipy.sparse.diags(self.lap_levels.astype(float))
-            self._sparse = (
-                scipy.sparse.kron(self.time_coupling, eye)
-                - scipy.sparse.kron(switch, laplacian_matrix(self.grid))
-            ).tocsr()
-        return self._sparse
+        eye = scipy.sparse.identity(self.n_space, format="csr")
+        switch = scipy.sparse.diags(self.lap_levels.astype(float))
+        return (
+            scipy.sparse.kron(self.time_coupling, eye)
+            - scipy.sparse.kron(switch, laplacian_matrix(self.grid))
+        ).tocsr()
 
     def estimated_nnz(self) -> int:
         """Upper bound on sparse() nonzeros, read from shapes only.

@@ -11,18 +11,20 @@ solve into three steps on one time-major (n_levels, n_space) complex block:
   a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
   a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
   solved, by one call of space.shifted_solve that transforms the field once
-  and writes its batches of levels straight into the block on the
-  level-batch pool; one conjugating copy then fills in the other levels.
+  and writes its batches of levels straight into the block; one conjugating
+  copy then fills in the other levels.
 - Step C rotates back with one in-place FFT along the time axis plus the
   realness check (circulant.from_eigenspace), and builds the real trajectory
   in the block's own memory. The FFT runs on scipy's workers, the rest in
   the calling thread.
 
-Step B's batches are the only work on the pool, which spreads them over the
-CPUs the process may run on; the result is bitwise the same as on one CPU.
+Step B's batches are the only work the package runs on threads of its own:
+shifted_solve spreads them over the CPUs the process may run on for that one
+call, and the result is bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
-its peak memory is the complex block, about two trajectories.
+its peak memory is the complex block, about two trajectories. A block over
+BLOCK_BUDGET is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .circulant import diagonalize, from_eigenspace
 from .methods import AllAtOnceSystem, SolveResult
 from .space import shifted_solve
 
+# Largest complex block, in bytes, that solve_pint allocates; bigger systems
+# are refused as infeasible.
+BLOCK_BUDGET = 2**31
+
 
 def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     """Solve a circulant-kind all-at-once system by FFT diagonalization.
@@ -43,6 +49,10 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     plus their sum as "total"; step A includes the diagonalization of the
     time coupling. The returned trajectory is real; a non-roundoff imaginary
     residue in the back rotation raises instead of being silently dropped.
+
+    When the (n_levels, n_space) complex block would exceed BLOCK_BUDGET
+    bytes the solve is refused with status "infeasible", no trajectory and
+    no timings, before any work.
     """
     if not system.method.kind.is_circulant:
         raise ValueError(
@@ -50,6 +60,15 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
             f"use the sparse baseline"
         )
     n_levels, n_space = system.n_levels, system.n_space
+    block_nbytes = 16 * n_levels * n_space
+    if block_nbytes > BLOCK_BUDGET:
+        return SolveResult(
+            system=system,
+            trajectory=None,
+            solver="pint",
+            status="infeasible",
+            message=f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}",
+        )
 
     start = time.perf_counter()
     diag = diagonalize(n_levels, system.omega)

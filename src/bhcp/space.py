@@ -8,10 +8,10 @@ complex shifts s. Those shifted solves are the spatial kernel of every
 solver in this package.
 
 The module also holds the one split of a time-major space-time block into
-batches of time levels, level_batches, and the pool that runs the batches
-of shifted_solve on all CPUs of the process. That is the package's one
-thread pool; every other batched pass walks level_batches in the calling
-thread, in level order.
+batches of time levels, level_batches. shifted_solve spreads its batches
+over all CPUs of the process with helper threads that live for one call;
+those are the package's only threads, and every other batched pass walks
+level_batches in the calling thread, in level order.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ WORKERS = (
 )
 
 
-@functools.cache
-def _executor() -> concurrent.futures.ThreadPoolExecutor:
-    return concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS)
-
-
-# A forked child has none of the parent's threads; it makes its own pool.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_executor.cache_clear)
-
-
 def level_batches(start: int, stop: int, row_nbytes: int) -> list:
     """The (lo, hi) bounds of the batches of time levels covering [start, stop).
 
@@ -59,24 +49,6 @@ def level_batches(start: int, stop: int, row_nbytes: int) -> list:
     """
     step = max(1, BATCH_BYTES // max(row_nbytes, 1))
     return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-
-
-def map_level_batches(fn, start: int, stop: int, row_nbytes: int) -> list:
-    """Return [fn(lo, hi), ...] over level_batches(start, stop, row_nbytes).
-
-    The batches run on a thread pool with one worker per CPU of the process,
-    inline when there is one CPU or one batch, so two calls of ``fn`` must
-    never write to the same place, and ``fn`` must not use the pool itself
-    (it could wait on its own worker). Results come back in batch order.
-    Every batch has finished when this returns or raises; an exception is
-    that of the first failed batch.
-    """
-    bounds = level_batches(start, stop, row_nbytes)
-    if WORKERS == 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    futures = [_executor().submit(fn, lo, hi) for lo, hi in bounds]
-    concurrent.futures.wait(futures)
-    return [future.result() for future in futures]
 
 
 class SingularShiftError(ArithmeticError):
@@ -292,9 +264,11 @@ def shifted_solve(
 
     The shifts are checked once and rhs is sine-transformed once; then each
     batch of rows divides those coefficients by (s + mu_k) and transforms
-    back in place, exact up to roundoff, O(k N log M). The batches run on
-    the level-batch pool, so this must not be called from inside a
-    map_level_batches function.
+    back in place, exact up to roundoff, O(k N log M). The batches are dealt
+    round-robin into one share per CPU of the process (at most one per
+    batch); the calling thread solves the first share and helper threads,
+    started for this call only, the others. Every helper has finished when
+    this returns or raises.
 
     ``out``, allowed only with an array of shifts, receives the result and
     is returned; it must be a C-contiguous array of shape (k, n_interior)
@@ -331,11 +305,22 @@ def shifted_solve(
     _check_shifts(shifts, spectrum)
     coeffs = spectrum.transform(rhs)
 
-    def solve_rows(lo, hi):
-        rows = out[lo:hi]
-        np.add.outer(shifts[lo:hi], spectrum.mode_eigenvalues, out=rows)
-        np.divide(coeffs, rows, out=rows)
-        spectrum.transform(rows, overwrite=True)
+    def solve_rows(share):
+        for lo, hi in share:
+            rows = out[lo:hi]
+            np.add.outer(shifts[lo:hi], spectrum.mode_eigenvalues, out=rows)
+            np.divide(coeffs, rows, out=rows)
+            spectrum.transform(rows, overwrite=True)
 
-    map_level_batches(solve_rows, 0, shifts.size, grid.n_interior * out.itemsize)
+    bounds = level_batches(0, shifts.size, grid.n_interior * out.itemsize)
+    workers = max(1, min(WORKERS, len(bounds)))
+    # The pool starts a thread per submit only, so one share starts none; its
+    # exit waits for the helpers, so none writes to out after a raise.
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [
+            pool.submit(solve_rows, bounds[w::workers]) for w in range(1, workers)
+        ]
+        solve_rows(bounds[::workers])
+        for helper in helpers:
+            helper.result()
     return out if np.ndim(shift) else out[0]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import bhcp.pint
 from bhcp.bench import parse_csv
 from bhcp.cli import build_parser, main
 
@@ -140,6 +141,13 @@ def test_out_that_is_a_directory_is_rejected_before_the_sweep(tmp_path, capsys):
     assert "# bhcp run" not in captured.out
 
 
+def test_empty_out_is_rejected_before_the_sweep(capsys):
+    assert main(run_args("")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bhcp: --out")
+    assert "# bhcp run" not in captured.out
+
+
 def test_profiles_under_a_file_is_rejected_before_the_sweep(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     blocker = tmp_path / "file"
@@ -160,6 +168,14 @@ def test_infeasible_rows_exit_zero(tmp_path, capsys):
     rows = parse_csv(out)
     assert rows[0].status == "infeasible"
     assert "infeasible" in capsys.readouterr().out
+
+
+def test_pint_refusal_rows_exit_zero(tmp_path, monkeypatch):
+    # the pint solver's size guard is an expected outcome too
+    monkeypatch.setattr(bhcp.pint, "BLOCK_BUDGET", 0)
+    out = str(tmp_path / "rows.csv")
+    assert main(run_args(out)) == 0
+    assert [row.status for row in parse_csv(out)] == ["infeasible"]
 
 
 def test_parser_requires_subcommand():

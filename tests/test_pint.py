@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -201,7 +202,7 @@ def parallel_cases():
 )
 def test_pooled_passes_match_one_cpu_bitwise(tmp_path):
     # The same passes in a process pinned to one CPU, where every batch runs
-    # inline, give the same bits as here, where they run on the pool.
+    # inline, give the same bits as here, where helper threads share them.
     path = tmp_path / "one_cpu.npz"
     script = "\n".join([
         "import os, sys",
@@ -229,12 +230,11 @@ def test_pooled_passes_match_one_cpu_bitwise(tmp_path):
 
 def test_pooled_solve_with_more_threads_than_cores(monkeypatch):
     # Batches write disjoint slices of one shared block; many threads and a
-    # tiny switch interval give the pool every chance to interleave them.
+    # tiny switch interval give the helpers every chance to interleave them.
     systems = [pint_system(m=256, n=512), pint_system(m=64, n=41, dim=2)]
     monkeypatch.setattr(space, "WORKERS", 1)
     expected = [solve_pint(system).trajectory for system in systems]
     monkeypatch.setattr(space, "WORKERS", 8)
-    space._executor.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -243,8 +243,6 @@ def test_pooled_solve_with_more_threads_than_cores(monkeypatch):
                 assert np.array_equal(solve_pint(system).trajectory, trajectory)
     finally:
         sys.setswitchinterval(interval)
-        space._executor().shutdown()
-        space._executor.cache_clear()
 
 
 def test_only_step_b_reaches_the_pool(monkeypatch):
@@ -253,6 +251,15 @@ def test_only_step_b_reaches_the_pool(monkeypatch):
     submitted = set()
 
     class Recorder:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
         def submit(self, fn, *args):
             submitted.add(fn.__qualname__)
             future = concurrent.futures.Future()
@@ -260,9 +267,48 @@ def test_only_step_b_reaches_the_pool(monkeypatch):
             return future
 
     monkeypatch.setattr(space, "WORKERS", 2)
-    monkeypatch.setattr(space, "_executor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     solve_pint(pint_system(m=64, n=40, dim=2)).residual_norm()
     assert submitted == {"shifted_solve.<locals>.solve_rows"}
+
+
+def test_no_thread_outlives_a_solve(monkeypatch):
+    # Step B's helper threads are started for one call and joined in it.
+    monkeypatch.setattr(space, "WORKERS", 2)
+    system = pint_system(m=64, n=40, dim=2)
+    before = threading.active_count()
+    solve_pint(system).residual_norm()
+    assert threading.active_count() == before
+
+
+def test_block_over_budget_is_refused_before_any_work(monkeypatch):
+    system = pint_system(m=64, n=40, dim=2)
+    block_nbytes = 16 * system.n_levels * system.n_space
+    monkeypatch.setattr(bhcp.pint, "BLOCK_BUDGET", block_nbytes - 1)
+    tracemalloc.start()
+    try:
+        result = solve_pint(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert result.status == "infeasible"
+    assert result.trajectory is None
+    assert result.timings == {}
+    assert str(block_nbytes) in result.message
+    assert np.isnan(result.residual_norm())
+    # a block of exactly the budget is admitted
+    monkeypatch.setattr(bhcp.pint, "BLOCK_BUDGET", block_nbytes)
+    assert solve_pint(system).status == "ok"
+
+
+def test_default_block_budget_admits_every_benchmark_mesh():
+    # criterion 6's largest pint mesh and 2D 512^2 x 512 stay under it;
+    # 2D 1024^2 x 1024 does not
+    for m, n, dim in ((4096, 4096, 1), (512, 512, 2)):
+        levels, space_size = n + 1, (m - 1) ** dim
+        assert 16 * levels * space_size <= bhcp.pint.BLOCK_BUDGET
+    assert 16 * 1025 * 1023**2 > bhcp.pint.BLOCK_BUDGET
 
 
 def test_imaginary_residue_error_from_step_c():

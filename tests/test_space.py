@@ -1,6 +1,7 @@
-"""Grids, Laplacian spectra, sine transforms, shifted solves, the batch pool."""
+"""Grids, Laplacian spectra, sine transforms, shifted solves, the batch split."""
 
 import os
+import threading
 import time
 import warnings
 
@@ -8,16 +9,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bhcp import space
 from bhcp.space import (
     BATCH_BYTES,
     SingularShiftError,
     SpatialGrid,
+    SpatialSpectrum,
     apply_laplacian,
     build_grid,
     grid_norm,
     laplacian_eigenvalues,
     laplacian_matrix,
-    map_level_batches,
+    level_batches,
     shifted_solve,
 )
 
@@ -357,47 +360,59 @@ def test_shifted_solve_rejects_bad_out():
         shifted_solve(grid, shifts.real, np.ones(7), out=good)
 
 
-def level_counts(lo, hi):
-    return lo, hi
-
-
-def test_map_level_batches_splits_in_order():
-    # 10 levels of a third of a batch each: batches of 3, results in order
+def test_level_batches_splits_in_order():
+    # 10 levels of a third of a batch each: batches of 3, in order
     row = BATCH_BYTES // 3
-    assert map_level_batches(level_counts, 5, 15, row) == [
-        (5, 8), (8, 11), (11, 14), (14, 15)
-    ]
+    assert level_batches(5, 15, row) == [(5, 8), (8, 11), (11, 14), (14, 15)]
     # a level bigger than a batch still makes a batch of one
-    assert map_level_batches(level_counts, 0, 2, 2 * BATCH_BYTES) == [(0, 1), (1, 2)]
-    assert map_level_batches(level_counts, 3, 3, 8) == []
+    assert level_batches(0, 2, 2 * BATCH_BYTES) == [(0, 1), (1, 2)]
+    assert level_batches(3, 3, 8) == []
 
 
-def test_map_level_batches_finishes_every_batch_before_raising():
-    started = []
+def four_batch_solve():
+    """A 1D solve whose 128 complex rows split into four batches of 32."""
+    grid = build_grid(1, np.pi, 1024)
+    shifts = 1.0 + 1.0j + np.arange(128.0)
+    assert len(level_batches(0, shifts.size, grid.n_interior * 16)) == 4
+    return grid, shifts, np.ones(grid.n_interior)
 
-    def fail_on_second(lo, hi):
-        started.append(lo)
-        if lo == 1:
-            raise ValueError("batch 1")
-        time.sleep(0.01)
-        return lo
 
-    with pytest.raises(ValueError, match="batch 1"):
-        map_level_batches(fail_on_second, 0, 6, BATCH_BYTES)
-    assert sorted(started) == [0, 1, 2, 3, 4, 5]
+def test_shifted_solve_finishes_every_batch_before_raising(monkeypatch):
+    # The calling thread's share fails at once while the helper's share is
+    # still sleeping; the error may only surface once the helper is done.
+    grid, shifts, rhs = four_batch_solve()
+    caller = threading.get_ident()
+    helper_rows = []
+    transform = SpatialSpectrum.transform
+
+    def failing_transform(self, field, overwrite=False):
+        if overwrite:
+            if threading.get_ident() == caller:
+                raise ValueError("caller's share")
+            time.sleep(0.05)
+            helper_rows.append(len(field))
+        return transform(self, field, overwrite)
+
+    monkeypatch.setattr(space, "WORKERS", 2)
+    monkeypatch.setattr(SpatialSpectrum, "transform", failing_transform)
+    with pytest.raises(ValueError, match="caller's share"):
+        shifted_solve(grid, shifts, rhs)
+    assert helper_rows == [32, 32]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_map_level_batches_works_in_a_forked_child():
-    # The parent's pool exists before the fork; the child must not wait on
-    # its threads, which did not survive the fork.
-    map_level_batches(level_counts, 0, 4, BATCH_BYTES)
+def test_shifted_solve_works_in_a_forked_child(monkeypatch):
+    # A solve with helper threads before the fork; the child starts its own.
+    grid, shifts, rhs = four_batch_solve()
+    monkeypatch.setattr(space, "WORKERS", 2)
+    expected = shifted_solve(grid, shifts, rhs)
     pid = os.fork()
     if pid == 0:
-        ok = map_level_batches(level_counts, 0, 4, BATCH_BYTES) == [
-            (0, 1), (1, 2), (2, 3), (3, 4)
-        ]
-        os._exit(0 if ok else 1)
+        ok = False
+        try:
+            ok = np.array_equal(shifted_solve(grid, shifts, rhs), expected)
+        finally:
+            os._exit(0 if ok else 1)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         done, status = os.waitpid(pid, os.WNOHANG)
@@ -407,4 +422,4 @@ def test_map_level_batches_works_in_a_forked_child():
         time.sleep(0.05)
     os.kill(pid, 9)
     os.waitpid(pid, 0)
-    pytest.fail("map_level_batches hung in a forked child")
+    pytest.fail("shifted_solve hung in a forked child")
