@@ -33,7 +33,6 @@ from .bench import (
 )
 from .circulant import (
     CirculantDiagonalization,
-    ImaginaryResidueError,
     TimeGrid,
     diagonalize,
     from_eigenspace,

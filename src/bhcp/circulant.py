@@ -17,9 +17,11 @@ right-hand side lives on one time level only.
 For real negative omega, the case of both circulant method kinds, the
 eigenvalues come in conjugate pairs d_{n-1-j} = conj(d_j); the solver uses
 this to do half of its spatial work. from_eigenspace applies V to a
-time-major block, time on the leading axis, the layout of a trajectory. It
-consumes a complex block and returns the real result in the block's own
-memory, which keeps the solver's peak at the size of that block.
+time-major block, time on the leading axis, the layout of a trajectory.
+Since V x is real for the solver's eigenspace block x, two real columns ride
+in each complex column of a packed block, x[:, 2c] + i x[:, 2c+1] (Cooley,
+Lewis & Welch 1970): one FFT transforms both, and the packed result viewed
+as float64 already is the real trajectory, in the block's own memory.
 """
 
 from __future__ import annotations
@@ -30,14 +32,6 @@ import numpy as np
 import scipy.fft
 
 from .space import WORKERS, level_batches
-
-
-# Bound on the imaginary residue of from_eigenspace, relative to the result.
-IMAGINARY_TOL = 1e-8
-
-
-class ImaginaryResidueError(ArithmeticError):
-    """A nominally real result came back with a non-negligible imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,16 @@ class CirculantDiagonalization:
     @property
     def condition_gamma(self) -> float:
         """Condition number of Gamma, the roundoff amplification factor."""
-        scale = max(abs(self.omega), 1.0 / abs(self.omega))
-        return scale ** ((self.size - 1) / self.size)
+        return gamma_condition(self.size, self.omega)
+
+
+def gamma_condition(size: int, omega: complex) -> float:
+    """cond(Gamma) of the size x size omega-circulant, from its two numbers.
+
+    Known before any work, so a solver can decide on it without factoring.
+    """
+    scale = max(abs(omega), 1.0 / abs(omega))
+    return scale ** ((size - 1) / size)
 
 
 def diagonalize(size: int, omega: complex) -> CirculantDiagonalization:
@@ -113,50 +115,43 @@ def diagonalize(size: int, omega: complex) -> CirculantDiagonalization:
     )
 
 
-
-
 def from_eigenspace(
-    block: np.ndarray, diag: CirculantDiagonalization
+    block: np.ndarray, diag: CirculantDiagonalization, columns: int
 ) -> np.ndarray:
-    """Consume a time-major block in the eigenbasis; return the real V @ block.
+    """Consume a packed block in the eigenbasis; return the real V @ x.
 
-    Computes V @ block along the leading (time) axis of ``block``, shape
-    (size, ...): one FFT along that axis on scipy's workers, then one pass
-    over batches of time levels in the calling thread that applies
-    Gamma^{-1}, sums the squares and packs the real parts. The systems and
-    right-hand sides upstream are real, so the imaginary part must be
-    roundoff; it is checked against 1e-8 * norm(result) and discarded.
+    ``block`` packs a time-major eigenspace block x of shape (size, columns)
+    whose image V @ x is real, two columns per complex column:
+    block[:, c] = x[:, 2c] + i x[:, 2c+1], with x[:, columns] = 0 for an odd
+    column count. V is applied along the leading (time) axis: one in-place
+    FFT on scipy's workers, then one ascending pass over batches of time
+    levels in the calling thread that applies Gamma^{-1} and, for an odd
+    column count only, moves each level down over the pad of the levels
+    before it. Column 2c of V @ x is then the real part of packed column c
+    and column 2c+1 its imaginary part, so the float64 view of the block is
+    the result. Nothing is checked for realness: the imaginary parts are data.
 
-    ``block`` must be a C-contiguous complex128 array that owns its memory
-    and has no views. It is consumed: the real result is built in the first
-    half of its memory, which is then shrunk in place, so its contents and
-    shape are undefined afterwards and the peak stays at the size of
-    ``block``.
+    ``block`` must be a C-contiguous complex128 array of shape
+    (size, ceil(columns/2)). It is consumed: its contents are undefined
+    afterwards and the result is a view of its memory.
 
     Returns:
-        The real part, C-contiguous, with the shape of ``block``.
+        V @ x, float64, C-contiguous, shape (size, columns).
 
     Raises:
-        ImaginaryResidueError: imaginary norm above 1e-8 * result norm, which
-            signals an upstream bug or hopeless conditioning, not roundoff.
-        ValueError: the leading axis is not diag.size, or ``block`` cannot be
-            consumed in place.
+        ValueError: ``block`` has the wrong shape, dtype or layout.
     """
     block = np.asarray(block)
-    if block.ndim == 0 or block.shape[0] != diag.size:
-        raise ValueError(
-            f"expected leading (time) axis {diag.size}, got shape {block.shape}"
-        )
+    shape = (diag.size, (columns + 1) // 2)
     if not (
-        block.dtype == np.complex128
+        block.shape == shape
+        and block.dtype == np.complex128
         and block.flags.c_contiguous
-        and block.flags.owndata
     ):
         raise ValueError(
-            "from_eigenspace needs a C-contiguous complex128 array that owns "
-            "its memory"
+            f"from_eigenspace needs a C-contiguous complex128 array of shape "
+            f"{shape}, got {block.dtype} {block.shape}"
         )
-    shape, size = block.shape, block.size
     fourier = scipy.fft.fft(
         block, axis=0, norm="ortho", overwrite_x=True, workers=WORKERS
     )
@@ -164,30 +159,13 @@ def from_eigenspace(
         # scipy may decline to work in place; the result still goes here.
         block[...] = fourier
     del fourier
-    rows = block.reshape(diag.size, -1)
     inverse_gamma = 1.0 / diag.gamma[:, None]
-    # Interleaved (real, imag) pairs per level. The real parts of level j
-    # are packed down into level j//2, which an ascending loop has already
-    # scaled and summed; numpy buffers a copy that overlaps its own source.
-    pairs = rows.view(np.float64)
-    packed = block.reshape(-1).view(np.float64)[:size].reshape(shape[0], -1)
-    real_sq = imag_sq = 0.0
-    for lo, hi in level_batches(0, diag.size, rows[0].nbytes):
-        rows[lo:hi] *= inverse_gamma[lo:hi]
-        batch = pairs[lo:hi].reshape(-1)
-        real, imag = batch[0::2], batch[1::2]
-        real_sq += float(real @ real)
-        imag_sq += float(imag @ imag)
-        packed[lo:hi] = pairs[lo:hi, 0::2]
-    del rows, pairs, packed, batch, real, imag
-    scale = np.sqrt(real_sq + imag_sq)
-    residue = np.sqrt(imag_sq)
-    if residue > IMAGINARY_TOL * max(scale, np.finfo(float).tiny):
-        raise ImaginaryResidueError(
-            f"imaginary residue {residue:.3e} exceeds {IMAGINARY_TOL:.1e} of "
-            f"the result norm {scale:.3e}"
-        )
-    # Give back the upper half. refcheck is off because the caller's own
-    # reference to ``block`` would fail it; no view of the buffer is left.
-    block.resize(((size + 1) // 2,), refcheck=False)
-    return block.view(np.float64)[:size].reshape(shape)
+    floats = block.view(np.float64)
+    flat = floats.reshape(-1)
+    for lo, hi in level_batches(0, diag.size, block[0].nbytes):
+        block[lo:hi] *= inverse_gamma[lo:hi]
+        if columns % 2:
+            # Levels below lo are packed already and levels from hi on are
+            # untouched; reshape copies the batch before it moves down.
+            flat[lo * columns : hi * columns] = floats[lo:hi, :columns].reshape(-1)
+    return flat[: diag.size * columns].reshape(diag.size, columns)

@@ -5,10 +5,11 @@ One subcommand, ``run``, executes an experiment matrix and writes a CSV:
     bhcp run --example 1 --method pint-qbvm --solver pint \\
         --mesh 1024x1024 --eps 1e-1,1e-3 --seed 7 --out results.csv
 
-Exit status is 0 when every row completed or was refused by a size guard
-(refusals are expected outcomes, reported as status=infeasible), 1 when any
-row errored, and 2 when the configuration or an output path was rejected
-before any run. A reproducibility banner echoing the resolved configuration
+Exit status is 0 when every row completed or was refused in a structured
+way (refusals are expected outcomes: status=infeasible from a size guard,
+status=ill-conditioned from the pint solver's conditioning cut-off), 1 when
+any row errored, and 2 when the configuration or an output path was
+rejected before any run. A reproducibility banner echoing the resolved configuration
 is printed before the runs.
 """
 

@@ -143,19 +143,28 @@ class AllAtOnceSystem:
     def apply(self, states: np.ndarray) -> np.ndarray:
         """Operator action on stacked states; shape of the input is kept.
 
-        The Laplacian levels are a trailing range (all levels for the pint
-        kinds, all but level 0 for the classic ones). The stencil is
-        subtracted from that range in place, one batch of levels at a time,
-        so the only full-size array made is the result.
+        Formed one batch of levels at a time by apply_levels, so the only
+        full-size array made is the result.
         """
         states = np.asarray(states)
-        flat = states.ndim == 1
         mat = states.reshape(self.n_levels, self.n_space)
-        out = self.time_coupling @ mat
-        first = self.n_levels - int(np.count_nonzero(self.lap_levels))
-        for lo, hi in level_batches(first, self.n_levels, mat[0].nbytes):
-            out[lo:hi] -= apply_laplacian(self.grid, mat[lo:hi])
-        return out.ravel() if flat else out
+        out = np.empty_like(mat, dtype=np.result_type(mat, float))
+        for lo, hi in level_batches(0, self.n_levels, mat[0].nbytes):
+            out[lo:hi] = self.apply_levels(mat, lo, hi)
+        return out.reshape(states.shape)
+
+    def apply_levels(self, mat: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Levels lo:hi of the operator action on states of shape (n_levels, n_space).
+
+        The rows lo:hi of K act on all levels; the stencil is then subtracted
+        from those of the levels that carry the Laplacian, a trailing range
+        (all levels for the pint kinds, all but level 0 for the classic ones).
+        """
+        out = self.time_coupling[lo:hi] @ mat
+        first = max(lo, self.n_levels - int(np.count_nonzero(self.lap_levels)))
+        if first < hi:
+            out[first - lo :] -= apply_laplacian(self.grid, mat[first:hi])
+        return out
 
     def sparse(self) -> scipy.sparse.csr_matrix:
         """Explicit sparse form kron(K, I) - kron(diag(switch), lap)."""
@@ -233,8 +242,10 @@ class SolveResult:
     initial state, the deliverable of the whole computation. ``timings`` maps
     phase names to wall-clock seconds ("total" on every completed solve;
     the fast solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok"
-    for a completed solve or "infeasible" when a guarded solver refused the
-    size; then trajectory is None, timings is empty and message says why.
+    for a completed solve, "infeasible" when a guarded solver refused the
+    size, or "ill-conditioned" when the fast solver refused a change of
+    basis whose roundoff bound is too large; on a refusal trajectory is
+    None, timings is empty and message says why.
     """
 
     system: AllAtOnceSystem
@@ -253,13 +264,21 @@ class SolveResult:
     def residual_norm(self) -> float:
         """Relative residual ||rhs - A y|| / ||rhs||, nan for refused solves.
 
-        rhs is zero off level 0, so the norm is taken of A y minus the
-        condition right-hand side, formed in place; the sign does not change
-        it. The weight of the discrete norm is uniform and cancels.
+        rhs is zero off level 0, so A y minus the condition right-hand side on
+        level 0 is formed one batch of levels at a time and its squares are
+        summed in level order; the sign does not change the norm, and no
+        full-size array is made. The weight of the discrete norm is uniform
+        and cancels.
         """
         if self.trajectory is None:
             return float("nan")
-        vec = self.system.apply(self.trajectory.ravel())
-        level0 = self.system.condition_rhs()
-        vec[: self.system.n_space] -= level0
-        return float(np.linalg.norm(vec) / np.linalg.norm(level0))
+        system = self.system
+        level0 = system.condition_rhs()
+        total = 0.0
+        for lo, hi in level_batches(0, system.n_levels, self.trajectory[0].nbytes):
+            part = system.apply_levels(self.trajectory, lo, hi)
+            if lo == 0:
+                part[0] -= level0
+            part = part.ravel()
+            total += float(part @ part)
+        return float(np.sqrt(total) / np.linalg.norm(level0))

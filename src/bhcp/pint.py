@@ -2,29 +2,36 @@
 
 Applies only to the circulant method kinds. Writing the system as
 (1/tau) C⊗I - I⊗lap and factoring C = V diag(d) V^{-1} turns the coupled
-solve into three steps on one time-major (n_levels, n_space) complex block:
+solve into three steps. The eigenspace block z they pass along, one level
+z_j per time level, is complex, but V z is the real trajectory, so z lives in
+one packed complex block W of shape (n_levels, ceil(n_space/2)) with
+W[:, c] = z[:, 2c] + i z[:, 2c+1] and a zero pad column for odd n_space:
+the size of the trajectory (circulant.from_eigenspace).
 
 - Step A rotates the right-hand side into the eigenbasis. It is nonzero only
   on level 0, and V^{-1} e_0 = 1/sqrt(N+1) because gamma_0 = 1, so every
   rotated level is the same field rhs_0 / sqrt(N+1): no time FFT is needed.
-- Step B solves (d_j/tau - lap) x_j = that field for every level j. omega is
+- Step B solves (d_j/tau - lap) z_j = that field for every level j. omega is
   a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
-  a real field x_{N-j} = conj(x_j). Only the first ceil((N+1)/2) levels are
-  solved, by one call of space.shifted_solve that transforms the field once
-  and writes its batches of levels straight into the block; one conjugating
-  copy then fills in the other levels.
-- Step C rotates back with one in-place FFT along the time axis plus the
-  realness check (circulant.from_eigenspace), and builds the real trajectory
-  in the block's own memory. The FFT runs on scipy's workers, the rest in
-  the calling thread.
+  a real field z_{N-j} = conj(z_j). Only the first ceil((N+1)/2) levels are
+  solved, by one call of space.shifted_solve that transforms the field once.
+  Each of its batches is written from the solving thread's scratch into two
+  rows of W: with a, b the even and odd columns of z_j, W[j] = a + i b and
+  W[N-j] = conj(a - i b); the middle level of an odd level count is written
+  once.
+- Step C rotates back with one in-place FFT along the time axis and one
+  pass that applies Gamma^{-1} (circulant.from_eigenspace); the float64 view
+  of W is then the real trajectory. The FFT runs on scipy's workers, the
+  rest in the calling thread.
 
 Step B's batches are the only work the package runs on threads of its own:
 shifted_solve spreads them over the CPUs the process may run on for that one
 call, and the result is bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
-its peak memory is the complex block, about two trajectories. A block over
-BLOCK_BUDGET is refused before anything is allocated.
+its peak memory is about one trajectory. Two refusals come before anything
+is allocated: a block over BLOCK_BUDGET, and a change of basis whose
+roundoff bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT.
 """
 
 from __future__ import annotations
@@ -33,13 +40,20 @@ import time
 
 import numpy as np
 
-from .circulant import diagonalize, from_eigenspace
+from .circulant import diagonalize, from_eigenspace, gamma_condition
 from .methods import AllAtOnceSystem, SolveResult
 from .space import shifted_solve
 
-# Largest complex block, in bytes, that solve_pint allocates; bigger systems
+# Largest packed block, in bytes, that solve_pint allocates; bigger systems
 # are refused as infeasible.
 BLOCK_BUDGET = 2**31
+
+# Largest cond(Gamma) * eps_mach that solve_pint admits. The change of basis
+# amplifies roundoff by cond(Gamma), and on every solved case of a sweep over
+# alpha in [1e-12, 1e-7], both kinds, 1D and 2D, the trajectory's relative gap
+# to the exact per-mode solve stayed under 0.42 of that bound. Past it the
+# gap could exceed criterion 1's 1e-7, so such a solve is refused.
+ERROR_BOUND_LIMIT = 1e-7
 
 
 def solve_pint(system: AllAtOnceSystem) -> SolveResult:
@@ -47,12 +61,13 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
 
     Records per-phase wall clock under timings["step_a"/"step_b"/"step_c"]
     plus their sum as "total"; step A includes the diagonalization of the
-    time coupling. The returned trajectory is real; a non-roundoff imaginary
-    residue in the back rotation raises instead of being silently dropped.
+    time coupling. The returned trajectory is real.
 
-    When the (n_levels, n_space) complex block would exceed BLOCK_BUDGET
-    bytes the solve is refused with status "infeasible", no trajectory and
-    no timings, before any work.
+    Two refusals come before any work, each with no trajectory, no timings
+    and a message: status "infeasible" when the (n_levels, ceil(n_space/2))
+    complex block would exceed BLOCK_BUDGET bytes, and status
+    "ill-conditioned" when the roundoff bound cond(Gamma) * eps_mach of the
+    change of basis exceeds ERROR_BOUND_LIMIT.
     """
     if not system.method.kind.is_circulant:
         raise ValueError(
@@ -60,14 +75,26 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
             f"use the sparse baseline"
         )
     n_levels, n_space = system.n_levels, system.n_space
-    block_nbytes = 16 * n_levels * n_space
+    width = (n_space + 1) // 2
+    block_nbytes = 16 * n_levels * width
+    error_bound = gamma_condition(n_levels, system.omega) * np.finfo(float).eps
+    status = None
     if block_nbytes > BLOCK_BUDGET:
+        status = "infeasible"
+        message = f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}"
+    elif error_bound > ERROR_BOUND_LIMIT:
+        status = "ill-conditioned"
+        message = (
+            f"error bound cond(Gamma)*eps = {error_bound:.3e} exceeds "
+            f"{ERROR_BOUND_LIMIT:.0e}"
+        )
+    if status is not None:
         return SolveResult(
             system=system,
             trajectory=None,
             solver="pint",
-            status="infeasible",
-            message=f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}",
+            status=status,
+            message=message,
         )
 
     start = time.perf_counter()
@@ -75,18 +102,38 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     field = system.condition_rhs() / np.sqrt(n_levels)
     t_a = time.perf_counter()
 
-    block = np.empty((n_levels, n_space), dtype=np.complex128)
+    block = np.empty((n_levels, width), dtype=np.complex128)
     shifts = diag.eigenvalues / system.timegrid.tau
     half = (n_levels + 1) // 2
-    # The middle level of an odd level count is its own conjugate.
+    # Levels below `paired` have a mirror level; the middle one, if any, not.
     paired = n_levels - half
+    pairs = n_space // 2
+    # (level, column, re/im) views: the packed block, and in a batch of
+    # solved levels the real and imaginary parts of their columns.
+    packed = block.view(np.float64).reshape(n_levels, width, 2)
 
-    shifted_solve(system.grid, shifts[:half], field, out=block[:half])
-    # Level N-j is the conjugate of level j; the two ranges do not overlap.
-    np.conjugate(block[:paired][::-1], out=block[half:])
+    def write(lo, hi, rows):
+        parts = rows.view(np.float64).reshape(hi - lo, n_space, 2)
+        even, odd = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
+        # W[j] = a + i b
+        np.subtract(even[..., 0], odd[..., 1], out=packed[lo:hi, :pairs, 0])
+        np.add(even[..., 1], odd[..., 0], out=packed[lo:hi, :pairs, 1])
+        if pairs < width:
+            block[lo:hi, pairs] = rows[:, -1]
+        mirrored = min(hi, paired) - lo
+        if mirrored > 0:
+            # W[N-j] = conj(a - i b), for levels N-lo down to N-lo-mirrored+1
+            levels = slice(n_levels - lo - 1, n_levels - lo - mirrored - 1, -1)
+            even, odd = even[:mirrored], odd[:mirrored]
+            np.add(even[..., 0], odd[..., 1], out=packed[levels, :pairs, 0])
+            np.subtract(odd[..., 0], even[..., 1], out=packed[levels, :pairs, 1])
+            if pairs < width:
+                np.conjugate(rows[:mirrored, -1], out=block[levels, pairs])
+
+    shifted_solve(system.grid, shifts[:half], field, write=write)
     t_b = time.perf_counter()
 
-    trajectory = from_eigenspace(block, diag)
+    trajectory = from_eigenspace(block, diag, n_space)
     t_c = time.perf_counter()
 
     timings = {

@@ -253,8 +253,8 @@ def shifted_solve(
     grid: SpatialGrid,
     shift: complex | np.ndarray,
     rhs: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+    write=None,
+) -> np.ndarray | None:
     """Solve (s*I - lap) x = rhs on the grid's interior nodes, for each shift s.
 
     ``shift`` is one complex number or a 1-D array of k of them. The result
@@ -263,16 +263,21 @@ def shifted_solve(
     right-hand side are real, complex otherwise.
 
     The shifts are checked once and rhs is sine-transformed once; then each
-    batch of rows divides those coefficients by (s + mu_k) and transforms
-    back in place, exact up to roundoff, O(k N log M). The batches are dealt
-    round-robin into one share per CPU of the process (at most one per
-    batch); the calling thread solves the first share and helper threads,
-    started for this call only, the others. Every helper has finished when
-    this returns or raises.
+    batch of rows divides those coefficients by (s + mu_k) in a scratch
+    array of its thread, at most BATCH_BYTES, and transforms back in place,
+    exact up to roundoff, O(k N log M). The batches are dealt round-robin
+    into one share per CPU of the process (at most one per batch); the
+    calling thread solves the first share and helper threads, started for
+    this call only, the others. Every helper has finished when this returns
+    or raises.
 
-    ``out``, allowed only with an array of shifts, receives the result and
-    is returned; it must be a C-contiguous array of shape (k, n_interior)
-    and the result's dtype.
+    ``write``, allowed only with an array of shifts, takes the result batch
+    by batch in place of a returned array: write(lo, hi, rows) receives the
+    solutions for shifts[lo:hi] in the scratch array, from the thread that
+    solved them, and must copy out what it keeps. The batches cover
+    disjoint row ranges, and calls from different threads may overlap in
+    time; None is returned. Without it the batches are copied into a fresh
+    array, which is returned.
 
     Raises:
         SingularShiftError: some |s + mu_k| is below 1e-14*|s|; the message
@@ -287,35 +292,35 @@ def shifted_solve(
     real_data = not np.any(np.imag(shifts)) and not np.iscomplexobj(rhs)
     dtype = np.float64 if real_data else np.complex128
     shifts = np.atleast_1d(shifts.real if real_data else shifts).astype(dtype)
-    shape = (shifts.size, grid.n_interior)
-    if out is None:
-        out = np.empty(shape, dtype=dtype)
+    out = None
+    if write is None:
+        out = np.empty((shifts.size, grid.n_interior), dtype=dtype)
+
+        def write(lo, hi, rows):
+            out[lo:hi] = rows
+
     elif np.ndim(shift) != 1:
-        raise ValueError("out is only accepted with a 1-D array of shifts")
-    elif (
-        not isinstance(out, np.ndarray)
-        or out.shape != shape
-        or out.dtype != dtype
-        or not out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}"
-        )
+        raise ValueError("write is only accepted with a 1-D array of shifts")
+    elif not callable(write):
+        raise ValueError(f"write must be callable, got {type(write).__name__}")
     spectrum = laplacian_eigenvalues(grid)
     _check_shifts(shifts, spectrum)
     coeffs = spectrum.transform(rhs)
+    bounds = level_batches(0, shifts.size, grid.n_interior * np.dtype(dtype).itemsize)
 
     def solve_rows(share):
+        rows_max = max((hi - lo for lo, hi in share), default=0)
+        scratch = np.empty((rows_max, grid.n_interior), dtype=dtype)
         for lo, hi in share:
-            rows = out[lo:hi]
+            rows = scratch[: hi - lo]
             np.add.outer(shifts[lo:hi], spectrum.mode_eigenvalues, out=rows)
             np.divide(coeffs, rows, out=rows)
             spectrum.transform(rows, overwrite=True)
+            write(lo, hi, rows)
 
-    bounds = level_batches(0, shifts.size, grid.n_interior * out.itemsize)
     workers = max(1, min(WORKERS, len(bounds)))
     # The pool starts a thread per submit only, so one share starts none; its
-    # exit waits for the helpers, so none writes to out after a raise.
+    # exit waits for the helpers, so none calls write after a raise.
     with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
         helpers = [
             pool.submit(solve_rows, bounds[w::workers]) for w in range(1, workers)
@@ -323,4 +328,6 @@ def shifted_solve(
         solve_rows(bounds[::workers])
         for helper in helpers:
             helper.result()
+    if out is None:
+        return None
     return out if np.ndim(shift) else out[0]

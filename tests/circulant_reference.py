@@ -1,8 +1,10 @@
 """Dense references for the omega-circulant time coupling and its factors.
 
 The step matrix C and the basis V = Gamma^{-1} F^* are formed entry by entry,
-V^{-1} = F Gamma is applied with one inverse FFT, and V diag(d) V^{-1} is
-rebuilt with the solver's own from_eigenspace as V. Small sizes only.
+V^{-1} = F Gamma is applied with one inverse FFT, pack puts two columns of a
+block into one complex column as from_eigenspace takes them, and
+V diag(d) V^{-1} is rebuilt with the solver's own from_eigenspace as V.
+Small sizes only.
 """
 
 import numpy as np
@@ -55,7 +57,23 @@ def to_eigenspace(block: np.ndarray, diag: CirculantDiagonalization) -> np.ndarr
     return scipy.fft.ifft(block * gamma, axis=0, norm="ortho")
 
 
+def pack(block: np.ndarray) -> np.ndarray:
+    """Packed form of a (size, n) block: column c is block[:, 2c] + i block[:, 2c+1].
+
+    An odd n is padded with a zero column. The result is a fresh
+    C-contiguous complex128 array of shape (size, ceil(n/2)).
+    """
+    block = np.asarray(block)
+    odd = np.zeros((block.shape[0], (block.shape[1] + 1) // 2), dtype=block.dtype)
+    odd[:, : block.shape[1] // 2] = block[:, 1::2]
+    return np.ascontiguousarray(block[:, 0::2] + 1j * odd, dtype=np.complex128)
+
+
 def reconstruct(diag: CirculantDiagonalization) -> np.ndarray:
-    """V diag(d) V^{-1}, with V applied by from_eigenspace; should be C."""
+    """V diag(d) V^{-1}, with V applied by from_eigenspace; should be C.
+
+    C is real for the real omegas tested, so the columns of diag(d) V^{-1}
+    can be packed two to a complex column.
+    """
     coeffs = diag.eigenvalues[:, None] * to_eigenspace(np.eye(diag.size), diag)
-    return from_eigenspace(coeffs, diag)
+    return from_eigenspace(pack(coeffs), diag, diag.size)

@@ -247,6 +247,10 @@ def test_csv_round_trip(tmp_path):
     row = parsed[0]
     assert isinstance(row.seed, int) and isinstance(row.M, int)
     assert isinstance(row.method, str) and isinstance(row.alpha, float)
+    # eps = 0 gives alpha = NOISE_FREE_ALPHA, past the pint solver's
+    # conditioning cut-off: a structured refusal, not an error row
+    statuses = [row.status for row in parsed]
+    assert statuses == ["ok", "ok", "ill-conditioned", "ill-conditioned"]
 
 
 def test_csv_header_is_fixed():

@@ -1,23 +1,20 @@
 """Time grids, step matrices, and the FFT diagonalization of the coupling.
 
 The dense step matrix and the factors V, V^{-1} come from
-circulant_reference; from_eigenspace is checked against them.
+circulant_reference; from_eigenspace is checked against them on blocks
+packed two real columns to a complex one.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from bhcp.circulant import (
-    ImaginaryResidueError,
-    TimeGrid,
-    diagonalize,
-    from_eigenspace,
-)
+from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace
 
 from circulant_reference import (
     basis_matrix,
     dense_fourier,
+    pack,
     reconstruct,
     step_matrix,
     to_eigenspace,
@@ -134,8 +131,8 @@ def test_from_eigenspace_matches_dense_product():
     rng = np.random.default_rng(9)
     column = rng.standard_normal((4, 1))
     coeffs = to_eigenspace(column, diag)
-    dense = (v @ coeffs).real  # before from_eigenspace consumes coeffs
-    assert np.allclose(from_eigenspace(coeffs, diag), dense, atol=1e-12)
+    dense = (v @ coeffs).real
+    assert np.allclose(from_eigenspace(pack(coeffs), diag, 1), dense, atol=1e-12)
 
 
 def test_omega_one_reduces_to_plain_dft():
@@ -143,8 +140,8 @@ def test_omega_one_reduces_to_plain_dft():
     assert np.allclose(diag.gamma, np.ones(8))
     rng = np.random.default_rng(13)
     block = rng.standard_normal((8, 3))
-    coeffs = np.fft.ifft(block, axis=0, norm="ortho")
-    assert np.allclose(from_eigenspace(coeffs, diag), block, atol=1e-13)
+    coeffs = pack(np.fft.ifft(block, axis=0, norm="ortho"))
+    assert np.allclose(from_eigenspace(coeffs, diag, 3), block, atol=1e-13)
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
@@ -152,7 +149,7 @@ def test_round_trip(omega):
     diag = diagonalize(8, omega)
     rng = np.random.default_rng(21)
     block = rng.standard_normal((8, 5))
-    back = from_eigenspace(to_eigenspace(block, diag), diag)
+    back = from_eigenspace(pack(to_eigenspace(block, diag)), diag, 5)
     scale = max(abs(omega), 1 / abs(omega))
     assert np.linalg.norm(back - block) <= 1e-10 * scale * np.linalg.norm(block)
 
@@ -160,19 +157,21 @@ def test_round_trip(omega):
 def test_round_trip_preserves_real_dtype_and_layout():
     diag = diagonalize(8, -2.0)
     block = np.arange(16.0).reshape(8, 2)
-    back = from_eigenspace(to_eigenspace(block, diag), diag)
+    back = from_eigenspace(pack(to_eigenspace(block, diag)), diag, 2)
     assert back.shape == block.shape
     assert back.dtype == np.float64
     assert back.flags["C_CONTIGUOUS"]
 
 
-@pytest.mark.parametrize("shape", [(9, 4), (9, 3), (9,)])
+@pytest.mark.parametrize("shape", [(9, 4), (9, 3), (9, 1)])
 def test_from_eigenspace_overwrite_reuses_the_block(shape):
+    # an odd column count leaves a pad column that the pass compacts out
     diag = diagonalize(9, -0.3)
     rng = np.random.default_rng(43)
-    coeffs = to_eigenspace(rng.standard_normal(shape), diag)
-    expected = (basis_matrix(diag) @ coeffs.reshape(9, -1)).real.reshape(shape)
-    got = from_eigenspace(coeffs, diag)
+    eigenspace = to_eigenspace(rng.standard_normal(shape), diag)
+    expected = (basis_matrix(diag) @ eigenspace).real
+    coeffs = pack(eigenspace)
+    got = from_eigenspace(coeffs, diag, shape[1])
     assert np.shares_memory(got, coeffs)
     assert got.shape == shape
     assert got.flags["C_CONTIGUOUS"]
@@ -180,25 +179,34 @@ def test_from_eigenspace_overwrite_reuses_the_block(shape):
 
 
 def test_from_eigenspace_overwrite_rejects_borrowed_memory():
+    # a strided view, a Fortran-ordered copy and a real array of the right
+    # shape are refused: the float64 view of the block must be the result
     diag = diagonalize(8, -2.0)
-    coeffs = to_eigenspace(np.ones((8, 4)), diag)
-    for bad in (coeffs[:, :2], np.asfortranarray(coeffs), coeffs.real.copy()):
+    coeffs = pack(to_eigenspace(np.ones((8, 4)), diag))
+    wide = pack(to_eigenspace(np.ones((8, 8)), diag))
+    for bad in (wide[:, ::2], np.asfortranarray(coeffs), coeffs.real.copy()):
         with pytest.raises(ValueError):
-            from_eigenspace(bad, diag)
+            from_eigenspace(bad, diag, 4)
 
 
-def test_imaginary_residue_raises():
+def test_imaginary_part_is_data():
+    # Packed column c of the result is columns 2c and 2c+1 of V @ block, as
+    # its real and imaginary parts; neither is checked or dropped.
     diag = diagonalize(8, 2.0)
     rng = np.random.default_rng(31)
-    garbage = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    with pytest.raises(ImaginaryResidueError):
-        from_eigenspace(garbage, diag)
+    block = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    dense = basis_matrix(diag) @ block
+    expected = np.stack([dense.real, dense.imag], axis=-1).reshape(8, 4)
+    assert np.allclose(from_eigenspace(block.copy(), diag, 4), expected, atol=1e-12)
 
 
 def test_transform_shape_checks():
     diag = diagonalize(8, 2.0)
     with pytest.raises(ValueError):
-        from_eigenspace(np.zeros((7, 3), dtype=complex), diag)
+        from_eigenspace(np.zeros((7, 3), dtype=complex), diag, 6)
+    for columns in (4, 7):
+        with pytest.raises(ValueError):
+            from_eigenspace(np.zeros((8, 3), dtype=complex), diag, columns)
     with pytest.raises(ValueError):
         diagonalize(8, 0.0)
     with pytest.raises(ValueError):

@@ -178,6 +178,16 @@ def test_pint_refusal_rows_exit_zero(tmp_path, monkeypatch):
     assert [row.status for row in parse_csv(out)] == ["infeasible"]
 
 
+def test_ill_conditioned_rows_exit_zero(tmp_path, capsys):
+    # noise-free data gives alpha = 1e-12, past the pint conditioning cut-off;
+    # the refusal is an expected outcome, not an error
+    for method in ("pint-qbvm", "pint-mqbvm"):
+        out = str(tmp_path / f"{method}.csv")
+        assert main(run_args(out, **{"--method": method, "--eps": "0"})) == 0
+        assert [row.status for row in parse_csv(out)] == ["ill-conditioned"]
+        assert "ill-conditioned" in capsys.readouterr().out
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args([])

@@ -1,5 +1,7 @@
 """Method definitions, omega values, and all-at-once system assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,9 +10,9 @@ import scipy.sparse.linalg
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import NOISE_FREE_ALPHA, resolve_alpha
 from bhcp.circulant import TimeGrid
-from bhcp.methods import MethodKind, MethodSpec, assemble
+from bhcp.methods import MethodKind, MethodSpec, SolveResult, assemble
 from bhcp.pint import solve_pint
-from bhcp.space import build_grid, laplacian_matrix
+from bhcp.space import BATCH_BYTES, build_grid, laplacian_matrix
 
 from circulant_reference import step_matrix
 from solver_reference import residual
@@ -234,6 +236,24 @@ def test_residual_norm_is_reference_norm_bitwise(kind, dim, m):
     for result in results:
         reference = residual(result.system, result.trajectory)[1]
         assert result.residual_norm() == reference, result.solver
+
+
+@pytest.mark.parametrize("kind", [MethodKind.QBVM, MethodKind.PINT_QBVM])
+def test_residual_norm_memory_is_a_few_batches(kind):
+    # 2D 128^2 x 128: a 16 MiB trajectory over 32 level batches. The norm is
+    # summed batch by batch, so its peak does not grow with the trajectory;
+    # only the last bits differ from the one-vector reference.
+    system = small_system(kind, alpha=1e-2, m=128, n=128, dim=2)
+    states = np.random.default_rng(8).standard_normal((system.n_levels, system.n_space))
+    result = SolveResult(system=system, trajectory=states, solver="test")
+    tracemalloc.start()
+    try:
+        norm = result.residual_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * BATCH_BYTES < states.nbytes / 5
+    assert norm == pytest.approx(residual(system, states)[1], rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -2,8 +2,8 @@
 
 import concurrent.futures
 import inspect
+import itertools
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -17,12 +17,8 @@ import bhcp
 from bhcp import space
 from bhcp.analysis import get_problem
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
-from bhcp.circulant import (
-    ImaginaryResidueError,
-    TimeGrid,
-    diagonalize,
-    from_eigenspace,
-)
+from bhcp.bench import ExperimentConfig, run_experiment
+from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace
 from bhcp.methods import MethodKind, assemble
 from bhcp.pint import solve_pint
 from bhcp.space import (
@@ -33,7 +29,7 @@ from bhcp.space import (
 )
 
 from banded_reference import banded_solve
-from circulant_reference import to_eigenspace
+from circulant_reference import pack, to_eigenspace
 from solver_reference import sine_mode
 
 
@@ -130,7 +126,7 @@ def test_total_includes_diagonalize(monkeypatch):
 def test_matches_per_level_banded_loop(kind, dim, m, n):
     # Reference: full time FFT of rhs, one banded solve per level with its own
     # eigenvalue, back FFT. It uses neither the closed-form step A nor the
-    # conjugate fill, and n steps give n + 1 levels, so both parities run.
+    # mirrored writes, and n steps give n + 1 levels, so both parities run.
     system = pint_system(kind, alpha=1e-2, m=m, n=n, dim=dim)
     diag = diagonalize(system.n_levels, system.omega)
     rotated = to_eigenspace(
@@ -140,9 +136,69 @@ def test_matches_per_level_banded_loop(kind, dim, m, n):
         banded_solve(system.grid, d / system.timegrid.tau, level)
         for d, level in zip(diag.eigenvalues, rotated)
     ])
-    expected = from_eigenspace(solved, diag)
+    expected = from_eigenspace(pack(solved), diag, system.n_space)
     fast = solve_pint(system).trajectory
     assert relative_gap(fast, expected) <= 1e-13 * diag.condition_gamma
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(itertools.product(
+        (MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM),
+        (1, 2),
+        ("even", "odd"),
+        ("even", "odd"),
+        ("example", "random"),
+    )),
+    ids=lambda case: "-".join(map(str, (case[0].value,) + case[1:])),
+)
+def test_answer_within_error_bound_or_refusal(case):
+    # Seeded property: for alpha log-uniform in [1e-14, 1], n_space and
+    # n_levels of either parity, each solve matches the per-mode oracle
+    # within its error bound cond(Gamma)*eps (plus 100 ulps of roundoff from
+    # the other steps and the oracle itself) or is refused as
+    # ill-conditioned exactly when that bound exceeds the cut-off; a sweep
+    # row is never an error.
+    kind, dim, space_parity, level_parity, data_kind = case
+    flags = (kind is MethodKind.PINT_MQBVM, space_parity == "odd",
+             level_parity == "odd", data_kind == "random")
+    rng = np.random.default_rng([2026, dim, *map(int, flags)])
+    side = int(rng.integers(2, 33 if dim == 1 else 9))
+    side += (side % 2 == 1) != (space_parity == "odd")
+    levels = int(rng.integers(2, 41))
+    levels += (levels % 2 == 1) != (level_parity == "odd")
+    problem = get_problem(dim)
+    grid = build_grid(dim, problem.length, side + 1)
+    timegrid = TimeGrid(problem.horizon, levels - 1)
+    data = (
+        problem.final_on_grid(grid)
+        if data_kind == "example"
+        else rng.standard_normal(grid.n_interior)
+    )
+    eps = np.finfo(float).eps
+    alphas = 10.0 ** rng.uniform(-14.0, 0.0, size=6)
+    for alpha in alphas:
+        system = assemble(kind, alpha, grid, timegrid, data)
+        bound = diagonalize(levels, system.omega).condition_gamma * eps
+        result = solve_pint(system)
+        if bound > bhcp.pint.ERROR_BOUND_LIMIT:
+            assert result.status == "ill-conditioned", alpha
+            assert result.trajectory is None
+            continue
+        assert result.status == "ok", alpha
+        oracle = solve_spectral_oracle(kind, alpha, grid, timegrid, data).trajectory
+        gap = relative_gap(result.trajectory, oracle)
+        assert gap <= bound + 100 * eps, (alpha, gap / bound)
+    config = ExperimentConfig(
+        example=dim,
+        methods=(kind,),
+        solver="pint",
+        meshes=((side + 1, levels - 1),),
+        eps_values=(0.0,),
+        seed=3,
+        alpha_rule=f"fixed:{float(alphas[0])!r}",
+    )
+    assert run_experiment(config)[0].status in ("ok", "ill-conditioned")
 
 
 def test_repeat_calls_are_bitwise_identical():
@@ -161,9 +217,9 @@ def test_peak_memory_is_the_complex_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The complex block is twice the real trajectory, which then reuses its
-    # memory; batch temporaries of step B and C add a few MiB on top.
-    assert peak <= 3.0 * trajectory.nbytes
+    # The packed complex block holds the real trajectory, which then reuses
+    # its memory; batch scratch of step B and C adds a few MiB on top.
+    assert peak <= 1.5 * trajectory.nbytes
 
 
 def parallel_cases():
@@ -177,23 +233,31 @@ def parallel_cases():
     from bhcp.methods import MethodKind, assemble
     from bhcp.pint import solve_pint
     from bhcp.space import build_grid
-    from circulant_reference import to_eigenspace
+    from circulant_reference import pack, to_eigenspace
     from solver_reference import residual
 
     out = {}
     for kind in (MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM):
-        # n steps give n + 1 levels, so both parities of the level count run
-        for dim, m, n in ((1, 256, 512), (1, 256, 511), (2, 64, 40), (2, 64, 41)):
+        # n steps give n + 1 levels, so both parities of the level count run;
+        # m = 256 and 64 give an odd n_space, whose pad column the writer
+        # fills and step C compacts out, m = 257 and 65 an even one
+        meshes = (
+            (1, 256, 512), (1, 256, 511), (2, 64, 40), (2, 64, 41),
+            (1, 257, 511), (2, 65, 40),
+        )
+        for dim, m, n in meshes:
             grid = build_grid(dim, np.pi, m)
             data = np.random.default_rng(m + n).standard_normal(grid.n_interior)
             system = assemble(kind, 1e-3, grid, TimeGrid(1.0, n), data)
             trajectory = solve_pint(system).trajectory
-            out[f"{kind.value}-{dim}d-{n}"] = trajectory
-            out[f"{kind.value}-{dim}d-{n}-residual"] = residual(system, trajectory)[0]
-    for size in (513, 512):
-        real = np.random.default_rng(size).standard_normal((size, 255))
+            key = f"{kind.value}-{dim}d-{m}-{n}"
+            out[key] = trajectory
+            out[f"{key}-residual"] = residual(system, trajectory)[0]
+    for size, columns in ((513, 255), (512, 255), (512, 256)):
+        real = np.random.default_rng(size).standard_normal((size, columns))
         diag = diagonalize(size, -1e2)
-        out[f"eigenspace-{size}"] = from_eigenspace(to_eigenspace(real, diag), diag)
+        coeffs = pack(to_eigenspace(real, diag))
+        out[f"eigenspace-{size}-{columns}"] = from_eigenspace(coeffs, diag, columns)
     return out
 
 
@@ -246,8 +310,8 @@ def test_pooled_solve_with_more_threads_than_cores(monkeypatch):
 
 
 def test_only_step_b_reaches_the_pool(monkeypatch):
-    # Step B's shifted solves are the one threaded pass; the conjugate fill,
-    # step C and the residual run in the calling thread.
+    # Step B's shifted solves, with their writes into the packed block, are
+    # the one threaded pass; step C and the residual run in the calling thread.
     submitted = set()
 
     class Recorder:
@@ -283,7 +347,7 @@ def test_no_thread_outlives_a_solve(monkeypatch):
 
 def test_block_over_budget_is_refused_before_any_work(monkeypatch):
     system = pint_system(m=64, n=40, dim=2)
-    block_nbytes = 16 * system.n_levels * system.n_space
+    block_nbytes = 16 * system.n_levels * ((system.n_space + 1) // 2)
     monkeypatch.setattr(bhcp.pint, "BLOCK_BUDGET", block_nbytes - 1)
     tracemalloc.start()
     try:
@@ -311,17 +375,36 @@ def test_default_block_budget_admits_every_benchmark_mesh():
     assert 16 * 1025 * 1023**2 > bhcp.pint.BLOCK_BUDGET
 
 
-def test_imaginary_residue_error_from_step_c():
+def test_ill_conditioned_case_is_refused_before_any_work():
     # Clean example-1 data at alpha = 1e-10 is past what the change of basis
-    # resolves; the realness check still refuses it, with the same numbers.
+    # resolves: cond(Gamma)*eps is about 2e-6, over the 1e-7 cut-off. It was
+    # the realness check's refusal case; the bound now turns it away a
+    # priori, with a structured result and no allocation.
     grid = build_grid(1, np.pi, 256)
     data = get_problem(1).final_on_grid(grid)
     system = assemble(MethodKind.PINT_QBVM, 1e-10, grid, TimeGrid(1.0, 256), data)
-    message = (
-        "imaginary residue 9.508e-06 exceeds 1.0e-08 of the result norm 3.037e+02"
-    )
-    with pytest.raises(ImaginaryResidueError, match=f"^{re.escape(message)}$"):
-        solve_pint(system)
+    tracemalloc.start()
+    try:
+        result = solve_pint(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None
+    assert result.timings == {}
+    assert result.message == "error bound cond(Gamma)*eps = 2.030e-06 exceeds 1e-07"
+    assert np.isnan(result.residual_norm())
+
+
+def test_error_bound_cut_off_is_inclusive(monkeypatch):
+    system = pint_system(alpha=1e-6, m=16, n=9)
+    bound = diagonalize(system.n_levels, system.omega).condition_gamma
+    bound *= np.finfo(float).eps
+    monkeypatch.setattr(bhcp.pint, "ERROR_BOUND_LIMIT", bound)
+    assert solve_pint(system).status == "ok"
+    monkeypatch.setattr(bhcp.pint, "ERROR_BOUND_LIMIT", np.nextafter(bound, 0))
+    assert solve_pint(system).status == "ill-conditioned"
 
 
 def test_step_b_single_column():

@@ -320,44 +320,38 @@ def test_singular_check_matches_full_scan(dim, cells):
 )
 @pytest.mark.parametrize("dim, cells", [(1, 256), (2, 64)])
 def test_shifted_solve_into_out(shifts, rhs_dtype, dim, cells):
+    # A writer that copies each batch into a row range of a bigger block, as
+    # step B's does, gives the rows of the returned array bitwise; every
+    # level arrives once, in ascending batches of at most BATCH_BYTES.
     grid = build_grid(dim, np.pi, cells)
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal(grid.n_interior).astype(rhs_dtype)
     if rhs_dtype is complex:
         rhs += 1j * rng.standard_normal(grid.n_interior)
     expected = shifted_solve(grid, shifts, rhs)
-    out = np.full_like(expected, np.nan)
-    assert shifted_solve(grid, shifts, rhs, out=out) is out
-    assert np.array_equal(out, expected)
-    # a row range of a bigger block, as step B passes it
     block = np.zeros((shifts.size + 3, grid.n_interior), dtype=expected.dtype)
-    shifted_solve(grid, shifts, rhs, out=block[: shifts.size])
+    seen = []
+
+    def write(lo, hi, rows):
+        assert rows.nbytes <= max(BATCH_BYTES, rows[0].nbytes)
+        seen.append((lo, hi))
+        block[lo:hi] = rows
+
+    assert shifted_solve(grid, shifts, rhs, write=write) is None
     assert np.array_equal(block[: shifts.size], expected)
     assert not block[shifts.size :].any()
+    assert sorted(seen) == level_batches(0, shifts.size, expected[0].nbytes)
 
 
-def test_shifted_solve_rejects_bad_out():
+def test_shifted_solve_rejects_bad_writer():
     grid = build_grid(1, np.pi, 8)
     shifts = np.array([1.0 + 1.0j, 2.0 + 1.0j])
-    good = np.empty((2, 7), dtype=complex)
-    bad_outs = [
-        np.empty((3, 7), dtype=complex),
-        np.empty((2, 6), dtype=complex),
-        np.empty(14, dtype=complex),
-        np.empty((2, 7)),
-        np.empty((2, 7), dtype=np.complex64),
-        np.empty((7, 2), dtype=complex).T,
-        np.empty((2, 14), dtype=complex)[:, ::2],
-        [[0j] * 7] * 2,
-    ]
-    for out in bad_outs:
-        with pytest.raises(ValueError, match="out"):
-            shifted_solve(grid, shifts, np.ones(7), out=out)
-    with pytest.raises(ValueError, match="out"):
-        shifted_solve(grid, 1.0 + 1.0j, np.ones(7), out=good[0])
-    # real shifts and data give a real result, so a complex out is refused
-    with pytest.raises(ValueError, match="out"):
-        shifted_solve(grid, shifts.real, np.ones(7), out=good)
+    for write in (np.empty((2, 7), dtype=complex), "rows", 3):
+        with pytest.raises(ValueError, match="write"):
+            shifted_solve(grid, shifts, np.ones(7), write=write)
+    # a single shift returns its solution; it takes no writer
+    with pytest.raises(ValueError, match="write"):
+        shifted_solve(grid, 1.0 + 1.0j, np.ones(7), write=lambda lo, hi, rows: None)
 
 
 def test_level_batches_splits_in_order():
