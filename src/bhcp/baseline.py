@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .circulant import TimeGrid
 from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult
-from .space import SpatialGrid, laplacian_eigenvalues, level_batches
+from .space import SpatialGrid, laplacian_eigenvalues
 
 # Largest estimated nonzero count of the all-at-once matrix that
 # solve_sparse_lu factors; bigger systems are refused as infeasible.
@@ -78,10 +78,11 @@ def solve_spectral_oracle(
 
     The sine transform decouples the system into one scalar chain per mode;
     eliminating the stepping rows leaves yhat^0_k = ghat_k / D_k with a
-    method-specific D_k, then yhat^n_k = rho_k^n yhat^0_k rebuilds the whole
-    trajectory. D_k is strictly positive for alpha > 0, so this never fails.
-    The result carries the assembled system, which also checks the shape of
-    ``data``, so residual checks are uniform across solvers.
+    method-specific D_k, then the recurrence yhat^n_k = rho_k yhat^{n-1}_k
+    rebuilds the whole trajectory. D_k is strictly positive for alpha > 0,
+    so this never fails. The result carries the assembled system, which also
+    checks the shape of ``data``, so residual checks are uniform across
+    solvers.
     """
     system = AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
     start = time.perf_counter()
@@ -98,13 +99,12 @@ def solve_spectral_oracle(
         denom = alpha * (1.0 + tau * mu) + decay
     else:
         denom = alpha * (mu + 1.0 / tau) + decay
-    amplitudes = spectrum.transform(system.data) / denom
-    levels = np.arange(timegrid.n_levels)
     trajectory = np.empty((timegrid.n_levels, grid.n_interior))
-    # Filled and transformed in place, so the trajectory is the only
-    # full-size array.
-    for lo, hi in level_batches(0, timegrid.n_levels, trajectory[0].nbytes):
-        np.multiply(amplitudes, rho ** levels[lo:hi, None], out=trajectory[lo:hi])
+    # Filled by the recurrence and transformed in place, so the trajectory
+    # is the only full-size array.
+    np.divide(spectrum.transform(system.data), denom, out=trajectory[0])
+    for n in range(1, timegrid.n_levels):
+        np.multiply(trajectory[n - 1], rho, out=trajectory[n])
     spectrum.transform(trajectory, overwrite=True)
     elapsed = time.perf_counter() - start
     return SolveResult(

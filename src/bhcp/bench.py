@@ -221,12 +221,14 @@ def _run_cell(
         seed=seed,
         delta=delta,
     )
+    where = f"bhcp: {kind.value} M={grid.num_cells} N={timegrid.num_steps} eps={eps}"
     try:
         alpha = resolve_alpha(config.alpha_rule, kind, delta, timegrid.tau)
         report.alpha = alpha
         result = _solve(config, kind, alpha, grid, timegrid, data)
         report.status = result.status
         if result.status != "ok":
+            print(f"{where} {result.status}: {result.message}", file=sys.stderr)
             return report
         report.error_l2 = grid_norm(result.initial_state - exact_initial, grid)
         report.residual = result.residual_norm()
@@ -243,11 +245,7 @@ def _run_cell(
             )
     except Exception as exc:  # recorded per row so the sweep keeps going
         report.status = "error"
-        print(
-            f"bhcp: {kind.value} M={grid.num_cells} N={timegrid.num_steps} "
-            f"eps={eps} failed: {exc}",
-            file=sys.stderr,
-        )
+        print(f"{where} failed: {exc}", file=sys.stderr)
     return report
 
 

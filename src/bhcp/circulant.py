@@ -69,19 +69,14 @@ class CirculantDiagonalization:
     ``gamma`` holds omega**(j/size) for j = 0..size-1 (principal branch), the
     diagonal of Gamma. V is applied with one FFT by from_eigenspace and is
     only formed densely in tests. The roundoff of the change of basis is
-    amplified by cond(Gamma) = max(|omega|, 1/|omega|)**((size-1)/size), so
-    tolerances downstream scale with that factor.
+    amplified by cond(Gamma) = max(|omega|, 1/|omega|)**((size-1)/size),
+    which gamma_condition computes, so tolerances downstream scale with it.
     """
 
     size: int
     omega: complex
     gamma: np.ndarray
     eigenvalues: np.ndarray
-
-    @property
-    def condition_gamma(self) -> float:
-        """Condition number of Gamma, the roundoff amplification factor."""
-        return gamma_condition(self.size, self.omega)
 
 
 def gamma_condition(size: int, omega: complex) -> float:

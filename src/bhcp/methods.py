@@ -88,9 +88,8 @@ class AllAtOnceSystem:
     The operator acts on stacked states (y^0, ..., y^N), flat length
     n_levels * n_space or equivalently shape (n_levels, n_space). It is held
     in factored form: a small sparse time-coupling matrix K plus a per-level
-    Laplacian switch, so apply() costs O(n_levels * n_space) without ever
-    forming the big Kronecker matrix. sparse() builds the explicit form on
-    demand for the LU baseline, anew on each call.
+    Laplacian switch, never as the big Kronecker matrix. sparse() builds the
+    explicit form on demand for the LU baseline, anew on each call.
     """
 
     def __init__(
@@ -139,32 +138,6 @@ class AllAtOnceSystem:
         out = np.zeros((self.n_levels, self.n_space))
         out[0] = self.condition_rhs()
         return out.ravel()
-
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """Operator action on stacked states; shape of the input is kept.
-
-        Formed one batch of levels at a time by apply_levels, so the only
-        full-size array made is the result.
-        """
-        states = np.asarray(states)
-        mat = states.reshape(self.n_levels, self.n_space)
-        out = np.empty_like(mat, dtype=np.result_type(mat, float))
-        for lo, hi in level_batches(0, self.n_levels, mat[0].nbytes):
-            out[lo:hi] = self.apply_levels(mat, lo, hi)
-        return out.reshape(states.shape)
-
-    def apply_levels(self, mat: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Levels lo:hi of the operator action on states of shape (n_levels, n_space).
-
-        The rows lo:hi of K act on all levels; the stencil is then subtracted
-        from those of the levels that carry the Laplacian, a trailing range
-        (all levels for the pint kinds, all but level 0 for the classic ones).
-        """
-        out = self.time_coupling[lo:hi] @ mat
-        first = max(lo, self.n_levels - int(np.count_nonzero(self.lap_levels)))
-        if first < hi:
-            out[first - lo :] -= apply_laplacian(self.grid, mat[first:hi])
-        return out
 
     def sparse(self) -> scipy.sparse.csr_matrix:
         """Explicit sparse form kron(K, I) - kron(diag(switch), lap)."""
@@ -264,21 +237,29 @@ class SolveResult:
     def residual_norm(self) -> float:
         """Relative residual ||rhs - A y|| / ||rhs||, nan for refused solves.
 
-        rhs is zero off level 0, so A y minus the condition right-hand side on
-        level 0 is formed one batch of levels at a time and its squares are
-        summed in level order; the sign does not change the norm, and no
-        full-size array is made. The weight of the discrete norm is uniform
-        and cancels.
+        Row 0, the final condition, is K[0] y minus the Laplacian of y^0 when
+        that level carries it, minus the condition right-hand side. Rows 1..N
+        are the backward Euler steps (y^n - y^{n-1})/tau - lap y^n, formed one
+        batch of levels at a time, so no full-size array is made. The sign
+        does not change the norm. Squares are summed by numpy's pairwise
+        reduction, whose order depends on the shapes alone, never on the
+        thread count. The weight of the discrete norm is uniform and cancels.
         """
         if self.trajectory is None:
             return float("nan")
         system = self.system
+        y = self.trajectory
         level0 = system.condition_rhs()
-        total = 0.0
-        for lo, hi in level_batches(0, system.n_levels, self.trajectory[0].nbytes):
-            part = system.apply_levels(self.trajectory, lo, hi)
-            if lo == 0:
-                part[0] -= level0
-            part = part.ravel()
-            total += float(part @ part)
-        return float(np.sqrt(total) / np.linalg.norm(level0))
+        part = (system.time_coupling[0] @ y)[0]
+        if system.lap_levels[0]:
+            part -= apply_laplacian(system.grid, y[0])
+        part -= level0
+        total = float(np.square(part, out=part).sum())
+        tau = system.timegrid.tau
+        for lo, hi in level_batches(1, system.n_levels, y[0].nbytes):
+            part = np.subtract(y[lo:hi], y[lo - 1 : hi - 1])
+            part /= tau
+            part -= apply_laplacian(system.grid, y[lo:hi])
+            total += float(np.square(part, out=part).sum())
+        scale = float(np.square(level0, out=level0).sum())
+        return float(np.sqrt(total / scale))

@@ -2,7 +2,8 @@
 
 Each is built from the package's public pieces by the plainest route: a mode
 entry by entry from its sine formula, the forward recursion one shifted solve
-per step, and the residual as the full vector rhs - A y.
+per step, the operator as its two factors on the whole stacked array, and the
+residual as the full vector rhs - A y.
 """
 
 import functools
@@ -11,7 +12,7 @@ import numpy as np
 
 from bhcp.circulant import TimeGrid
 from bhcp.methods import AllAtOnceSystem
-from bhcp.space import SpatialGrid, shifted_solve
+from bhcp.space import SpatialGrid, apply_laplacian, shifted_solve
 
 
 def sine_mode(grid: SpatialGrid, index) -> np.ndarray:
@@ -51,11 +52,24 @@ def march_forward(
     return state
 
 
+def apply(system: AllAtOnceSystem, states: np.ndarray) -> np.ndarray:
+    """Operator action K Y - switch * lap(Y) on stacked states, shape kept.
+
+    Y is the (n_levels, n_space) view of ``states``; the switch is the
+    system's per-level Laplacian flag.
+    """
+    states = np.asarray(states)
+    mat = states.reshape(system.n_levels, system.n_space)
+    switch = system.lap_levels[:, None]
+    out = system.time_coupling @ mat - switch * apply_laplacian(system.grid, mat)
+    return out.reshape(states.shape)
+
+
 def residual(system: AllAtOnceSystem, states: np.ndarray) -> tuple[np.ndarray, float]:
     """Residual vector rhs - A y and its norm relative to the rhs.
 
     The rhs is zero off level 0, so its norm is taken over that level alone.
     """
-    vec = system.rhs() - system.apply(np.asarray(states).ravel())
+    vec = system.rhs() - apply(system, np.asarray(states).ravel())
     level0 = system.condition_rhs()
     return vec, float(np.linalg.norm(vec) / np.linalg.norm(level0))

@@ -167,7 +167,10 @@ def test_infeasible_rows_exit_zero(tmp_path, capsys):
     assert main(argv) == 0
     rows = parse_csv(out)
     assert rows[0].status == "infeasible"
-    assert "infeasible" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.out
+    assert "bhcp: qbvm M=4096 N=4096 eps=0.1 infeasible: " in captured.err
+    assert "exceed the budget" in captured.err
 
 
 def test_pint_refusal_rows_exit_zero(tmp_path, monkeypatch):
@@ -185,7 +188,10 @@ def test_ill_conditioned_rows_exit_zero(tmp_path, capsys):
         out = str(tmp_path / f"{method}.csv")
         assert main(run_args(out, **{"--method": method, "--eps": "0"})) == 0
         assert [row.status for row in parse_csv(out)] == ["ill-conditioned"]
-        assert "ill-conditioned" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "ill-conditioned" in captured.out
+        assert f"bhcp: {method} " in captured.err
+        assert "ill-conditioned: error bound cond(Gamma)*eps" in captured.err
 
 
 def test_parser_requires_subcommand():

@@ -18,7 +18,7 @@ from bhcp import space
 from bhcp.analysis import get_problem
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import ExperimentConfig, run_experiment
-from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace
+from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, gamma_condition
 from bhcp.methods import MethodKind, assemble
 from bhcp.pint import solve_pint
 from bhcp.space import (
@@ -138,7 +138,8 @@ def test_matches_per_level_banded_loop(kind, dim, m, n):
     ])
     expected = from_eigenspace(pack(solved), diag, system.n_space)
     fast = solve_pint(system).trajectory
-    assert relative_gap(fast, expected) <= 1e-13 * diag.condition_gamma
+    bound = 1e-13 * gamma_condition(diag.size, diag.omega)
+    assert relative_gap(fast, expected) <= bound
 
 
 @pytest.mark.parametrize(
@@ -179,7 +180,7 @@ def test_answer_within_error_bound_or_refusal(case):
     alphas = 10.0 ** rng.uniform(-14.0, 0.0, size=6)
     for alpha in alphas:
         system = assemble(kind, alpha, grid, timegrid, data)
-        bound = diagonalize(levels, system.omega).condition_gamma * eps
+        bound = gamma_condition(levels, system.omega) * eps
         result = solve_pint(system)
         if bound > bhcp.pint.ERROR_BOUND_LIMIT:
             assert result.status == "ill-conditioned", alpha
@@ -223,7 +224,7 @@ def test_peak_memory_is_the_complex_block():
 
 
 def parallel_cases():
-    """Results of every pooled pass on meshes that span several level batches.
+    """Every pooled pass and the residual norm on meshes of several batches.
 
     Runs unchanged in a process pinned to one CPU, so it imports what it uses.
     """
@@ -249,10 +250,11 @@ def parallel_cases():
             grid = build_grid(dim, np.pi, m)
             data = np.random.default_rng(m + n).standard_normal(grid.n_interior)
             system = assemble(kind, 1e-3, grid, TimeGrid(1.0, n), data)
-            trajectory = solve_pint(system).trajectory
+            result = solve_pint(system)
             key = f"{kind.value}-{dim}d-{m}-{n}"
-            out[key] = trajectory
-            out[f"{key}-residual"] = residual(system, trajectory)[0]
+            out[key] = result.trajectory
+            out[f"{key}-residual"] = residual(system, result.trajectory)[0]
+            out[f"{key}-residual-norm"] = result.residual_norm()
     for size, columns in ((513, 255), (512, 255), (512, 256)):
         real = np.random.default_rng(size).standard_normal((size, columns))
         diag = diagonalize(size, -1e2)
@@ -399,7 +401,7 @@ def test_ill_conditioned_case_is_refused_before_any_work():
 
 def test_error_bound_cut_off_is_inclusive(monkeypatch):
     system = pint_system(alpha=1e-6, m=16, n=9)
-    bound = diagonalize(system.n_levels, system.omega).condition_gamma
+    bound = gamma_condition(system.n_levels, system.omega)
     bound *= np.finfo(float).eps
     monkeypatch.setattr(bhcp.pint, "ERROR_BOUND_LIMIT", bound)
     assert solve_pint(system).status == "ok"
