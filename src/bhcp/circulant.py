@@ -19,9 +19,12 @@ eigenvalues come in conjugate pairs d_{n-1-j} = conj(d_j); the solver uses
 this to do half of its spatial work. from_eigenspace applies V to a
 time-major block, time on the leading axis, the layout of a trajectory.
 Since V x is real for the solver's eigenspace block x, two real columns ride
-in each complex column of a packed block, x[:, 2c] + i x[:, 2c+1] (Cooley,
-Lewis & Welch 1970): one FFT transforms both, and the packed result viewed
-as float64 already is the real trajectory, in the block's own memory.
+in each complex column of a packed block, x[:, 2c] + i x[:, 2c+1], with a
+zero pad column for an odd column count (Cooley, Lewis & Welch 1970): one
+FFT transforms both, and the packed result viewed as float64 already is the
+real trajectory, in the block's own memory. pack_levels writes that block
+from the solved first half of the levels, the second half being their
+conjugates.
 """
 
 from __future__ import annotations
@@ -108,6 +111,43 @@ def diagonalize(size: int, omega: complex) -> CirculantDiagonalization:
     return CirculantDiagonalization(
         size=n, omega=omega, gamma=gamma, eigenvalues=eigenvalues
     )
+
+
+def pack_levels(block: np.ndarray, lo: int, hi: int, rows: np.ndarray) -> None:
+    """Write solved levels lo..hi-1 of an eigenspace block, and their mirrors.
+
+    ``block`` is the packed form from_eigenspace consumes of an eigenspace
+    block z of shape (size, n) with z[size-1-j] = conj(z[j]); ``rows`` holds
+    the complex levels z[lo:hi], shape (hi-lo, n). With a, b the even and
+    odd columns of z[j], level j goes to block[j] = a + i b and, below the
+    middle level, its mirror to block[size-1-j] = conj(a - i b); an odd n
+    puts z[j]'s last column in the pad column. The levels below
+    ceil(size/2), in any batches, fill the whole block; batches of disjoint
+    level ranges write disjoint rows, so threads may write them at once.
+    """
+    size, width = block.shape
+    n = rows.shape[1]
+    pairs = n // 2
+    # Levels below `paired` have a mirror level; the middle one, if any, not.
+    paired = size // 2
+    # (level, column, re/im) views of the block and of the rows' columns
+    packed = block.view(np.float64).reshape(size, width, 2)
+    parts = rows.view(np.float64).reshape(hi - lo, n, 2)
+    even, odd = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
+    # block[j] = a + i b
+    np.subtract(even[..., 0], odd[..., 1], out=packed[lo:hi, :pairs, 0])
+    np.add(even[..., 1], odd[..., 0], out=packed[lo:hi, :pairs, 1])
+    if pairs < width:
+        block[lo:hi, pairs] = rows[:, -1]
+    mirrored = min(hi, paired) - lo
+    if mirrored > 0:
+        # block[size-1-j] = conj(a - i b), for j = lo .. lo+mirrored-1
+        levels = slice(size - lo - 1, size - lo - mirrored - 1, -1)
+        even, odd = even[:mirrored], odd[:mirrored]
+        np.add(even[..., 0], odd[..., 1], out=packed[levels, :pairs, 0])
+        np.subtract(odd[..., 0], even[..., 1], out=packed[levels, :pairs, 1])
+        if pairs < width:
+            np.conjugate(rows[:mirrored, -1], out=block[levels, pairs])
 
 
 def from_eigenspace(

@@ -119,10 +119,6 @@ class AllAtOnceSystem:
         return self.grid.n_interior
 
     @property
-    def size(self) -> int:
-        return self.n_levels * self.n_space
-
-    @property
     def omega(self) -> Optional[float]:
         return self.method.omega(self.timegrid.tau)
 
@@ -241,25 +237,34 @@ class SolveResult:
         that level carries it, minus the condition right-hand side. Rows 1..N
         are the backward Euler steps (y^n - y^{n-1})/tau - lap y^n, formed one
         batch of levels at a time, so no full-size array is made. The sign
-        does not change the norm. Squares are summed by numpy's pairwise
-        reduction, whose order depends on the shapes alone, never on the
-        thread count. The weight of the discrete norm is uniform and cancels.
+        does not change the norm. Every row is scaled by one power of two,
+        near 1/max|rhs|, before squaring, so the squares of a tiny or huge
+        rhs neither underflow nor overflow; the scaling is exact and cancels
+        in the ratio. Squares are summed by numpy's pairwise reduction, whose
+        order depends on the shapes alone, never on the thread count. The
+        weight of the discrete norm is uniform and cancels.
         """
         if self.trajectory is None:
             return float("nan")
         system = self.system
         y = self.trajectory
         level0 = system.condition_rhs()
+        # 2**-k with 2**k just above max|rhs|, capped so it stays finite
+        exponent = int(np.frexp(np.abs(level0).max())[1])
+        scale = np.ldexp(1.0, min(-exponent, np.finfo(float).maxexp - 1))
         part = (system.time_coupling[0] @ y)[0]
         if system.lap_levels[0]:
             part -= apply_laplacian(system.grid, y[0])
         part -= level0
+        part *= scale
         total = float(np.square(part, out=part).sum())
         tau = system.timegrid.tau
         for lo, hi in level_batches(1, system.n_levels, y[0].nbytes):
             part = np.subtract(y[lo:hi], y[lo - 1 : hi - 1])
             part /= tau
             part -= apply_laplacian(system.grid, y[lo:hi])
+            part *= scale
             total += float(np.square(part, out=part).sum())
-        scale = float(np.square(level0, out=level0).sum())
-        return float(np.sqrt(total / scale))
+        level0 *= scale
+        norm = float(np.square(level0, out=level0).sum())
+        return float(np.sqrt(total / norm))

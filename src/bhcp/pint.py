@@ -4,9 +4,8 @@ Applies only to the circulant method kinds. Writing the system as
 (1/tau) C⊗I - I⊗lap and factoring C = V diag(d) V^{-1} turns the coupled
 solve into three steps. The eigenspace block z they pass along, one level
 z_j per time level, is complex, but V z is the real trajectory, so z lives in
-one packed complex block W of shape (n_levels, ceil(n_space/2)) with
-W[:, c] = z[:, 2c] + i z[:, 2c+1] and a zero pad column for odd n_space:
-the size of the trajectory (circulant.from_eigenspace).
+one packed complex block W of shape (n_levels, ceil(n_space/2)), the size of
+the trajectory; circulant holds its layout (pack_levels, from_eigenspace).
 
 - Step A rotates the right-hand side into the eigenbasis. It is nonzero only
   on level 0, and V^{-1} e_0 = 1/sqrt(N+1) because gamma_0 = 1, so every
@@ -14,11 +13,9 @@ the size of the trajectory (circulant.from_eigenspace).
 - Step B solves (d_j/tau - lap) z_j = that field for every level j. omega is
   a negative real for both circulant kinds, so d_{N-j} = conj(d_j), and with
   a real field z_{N-j} = conj(z_j). Only the first ceil((N+1)/2) levels are
-  solved, by one call of space.shifted_solve that transforms the field once.
-  Each of its batches is written from the solving thread's scratch into two
-  rows of W: with a, b the even and odd columns of z_j, W[j] = a + i b and
-  W[N-j] = conj(a - i b); the middle level of an odd level count is written
-  once.
+  solved, by one call of space.shifted_solve that transforms the field once;
+  circulant.pack_levels writes each of its batches, and the mirror levels,
+  into W from the solving thread's scratch.
 - Step C rotates back with one in-place FFT along the time axis and one
   pass that applies Gamma^{-1} (circulant.from_eigenspace); the float64 view
   of W is then the real trajectory. The FFT runs on scipy's workers, the
@@ -36,11 +33,12 @@ roundoff bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
 
-from .circulant import diagonalize, from_eigenspace, gamma_condition
+from .circulant import diagonalize, from_eigenspace, gamma_condition, pack_levels
 from .methods import AllAtOnceSystem, SolveResult
 from .space import shifted_solve
 
@@ -103,34 +101,9 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     t_a = time.perf_counter()
 
     block = np.empty((n_levels, width), dtype=np.complex128)
-    shifts = diag.eigenvalues / system.timegrid.tau
-    half = (n_levels + 1) // 2
-    # Levels below `paired` have a mirror level; the middle one, if any, not.
-    paired = n_levels - half
-    pairs = n_space // 2
-    # (level, column, re/im) views: the packed block, and in a batch of
-    # solved levels the real and imaginary parts of their columns.
-    packed = block.view(np.float64).reshape(n_levels, width, 2)
-
-    def write(lo, hi, rows):
-        parts = rows.view(np.float64).reshape(hi - lo, n_space, 2)
-        even, odd = parts[:, 0 : 2 * pairs : 2], parts[:, 1 : 2 * pairs : 2]
-        # W[j] = a + i b
-        np.subtract(even[..., 0], odd[..., 1], out=packed[lo:hi, :pairs, 0])
-        np.add(even[..., 1], odd[..., 0], out=packed[lo:hi, :pairs, 1])
-        if pairs < width:
-            block[lo:hi, pairs] = rows[:, -1]
-        mirrored = min(hi, paired) - lo
-        if mirrored > 0:
-            # W[N-j] = conj(a - i b), for levels N-lo down to N-lo-mirrored+1
-            levels = slice(n_levels - lo - 1, n_levels - lo - mirrored - 1, -1)
-            even, odd = even[:mirrored], odd[:mirrored]
-            np.add(even[..., 0], odd[..., 1], out=packed[levels, :pairs, 0])
-            np.subtract(odd[..., 0], even[..., 1], out=packed[levels, :pairs, 1])
-            if pairs < width:
-                np.conjugate(rows[:mirrored, -1], out=block[levels, pairs])
-
-    shifted_solve(system.grid, shifts[:half], field, write=write)
+    # the levels past the middle are the conjugates of those before it
+    shifts = diag.eigenvalues[: (n_levels + 1) // 2] / system.timegrid.tau
+    shifted_solve(system.grid, shifts, field, functools.partial(pack_levels, block))
     t_b = time.perf_counter()
 
     trajectory = from_eigenspace(block, diag, n_space)

@@ -250,17 +250,16 @@ def _check_shifts(shifts: np.ndarray, spectrum: SpatialSpectrum) -> None:
 
 
 def shifted_solve(
-    grid: SpatialGrid,
-    shift: complex | np.ndarray,
-    rhs: np.ndarray,
-    write=None,
-) -> np.ndarray | None:
+    grid: SpatialGrid, shifts: np.ndarray, rhs: np.ndarray, write
+) -> None:
     """Solve (s*I - lap) x = rhs on the grid's interior nodes, for each shift s.
 
-    ``shift`` is one complex number or a 1-D array of k of them. The result
-    has the shape of ``rhs`` for a single shift and shape (k, n_interior),
-    one solution per row, for an array. It is real when every shift and the
-    right-hand side are real, complex otherwise.
+    ``shifts`` is a 1-D array of k shifts, taken as complex128. The
+    solutions go to ``write`` batch by batch: write(lo, hi, rows) receives
+    the complex solutions for shifts[lo:hi], one per row, in the scratch
+    array of the thread that solved them, and must copy out what it keeps.
+    The batches cover disjoint row ranges, and calls from different threads
+    may overlap in time.
 
     The shifts are checked once and rhs is sine-transformed once; then each
     batch of rows divides those coefficients by (s + mu_k) in a scratch
@@ -271,14 +270,6 @@ def shifted_solve(
     this call only, the others. Every helper has finished when this returns
     or raises.
 
-    ``write``, allowed only with an array of shifts, takes the result batch
-    by batch in place of a returned array: write(lo, hi, rows) receives the
-    solutions for shifts[lo:hi] in the scratch array, from the thread that
-    solved them, and must copy out what it keeps. The batches cover
-    disjoint row ranges, and calls from different threads may overlap in
-    time; None is returned. Without it the batches are copied into a fresh
-    array, which is returned.
-
     Raises:
         SingularShiftError: some |s + mu_k| is below 1e-14*|s|; the message
             names the index of the first such shift.
@@ -286,31 +277,17 @@ def shifted_solve(
     rhs = np.asarray(rhs)
     if rhs.shape != (grid.n_interior,):
         raise ValueError(f"rhs must have shape ({grid.n_interior},), got {rhs.shape}")
-    shifts = np.asarray(shift)
-    if shifts.ndim > 1:
-        raise ValueError(f"shift must be a scalar or 1-D, got shape {shifts.shape}")
-    real_data = not np.any(np.imag(shifts)) and not np.iscomplexobj(rhs)
-    dtype = np.float64 if real_data else np.complex128
-    shifts = np.atleast_1d(shifts.real if real_data else shifts).astype(dtype)
-    out = None
-    if write is None:
-        out = np.empty((shifts.size, grid.n_interior), dtype=dtype)
-
-        def write(lo, hi, rows):
-            out[lo:hi] = rows
-
-    elif np.ndim(shift) != 1:
-        raise ValueError("write is only accepted with a 1-D array of shifts")
-    elif not callable(write):
-        raise ValueError(f"write must be callable, got {type(write).__name__}")
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    if shifts.ndim != 1:
+        raise ValueError(f"shifts must be 1-D, got shape {shifts.shape}")
     spectrum = laplacian_eigenvalues(grid)
     _check_shifts(shifts, spectrum)
     coeffs = spectrum.transform(rhs)
-    bounds = level_batches(0, shifts.size, grid.n_interior * np.dtype(dtype).itemsize)
+    bounds = level_batches(0, shifts.size, grid.n_interior * shifts.itemsize)
 
     def solve_rows(share):
         rows_max = max((hi - lo for lo, hi in share), default=0)
-        scratch = np.empty((rows_max, grid.n_interior), dtype=dtype)
+        scratch = np.empty((rows_max, grid.n_interior), dtype=np.complex128)
         for lo, hi in share:
             rows = scratch[: hi - lo]
             np.add.outer(shifts[lo:hi], spectrum.mode_eigenvalues, out=rows)
@@ -328,6 +305,3 @@ def shifted_solve(
         solve_rows(bounds[::workers])
         for helper in helpers:
             helper.result()
-    if out is None:
-        return None
-    return out if np.ndim(shift) else out[0]

@@ -1,9 +1,10 @@
 """References the solvers are checked against: sine modes, marching, residuals.
 
 Each is built from the package's public pieces by the plainest route: a mode
-entry by entry from its sine formula, the forward recursion one shifted solve
-per step, the operator as its two factors on the whole stacked array, and the
-residual as the full vector rhs - A y.
+entry by entry from its sine formula, the forward recursion one real sine-space
+step per time step, the operator as its two factors on the whole stacked
+array, and the residual as the full vector rhs - A y. solve_shifts gathers
+shifted_solve's batches into one array, for checks of its solutions.
 """
 
 import functools
@@ -12,7 +13,12 @@ import numpy as np
 
 from bhcp.circulant import TimeGrid
 from bhcp.methods import AllAtOnceSystem
-from bhcp.space import SpatialGrid, apply_laplacian, shifted_solve
+from bhcp.space import (
+    SpatialGrid,
+    apply_laplacian,
+    laplacian_eigenvalues,
+    shifted_solve,
+)
 
 
 def sine_mode(grid: SpatialGrid, index) -> np.ndarray:
@@ -40,16 +46,31 @@ def march_forward(
 ) -> np.ndarray:
     """Run the plain backward Euler recursion from a given initial state.
 
-    Each step solves (I/tau - lap) y^n = y^{n-1}/tau. Marching the
-    reconstructed initial state forward and plugging it into a method's
-    final condition is an end-to-end consistency check that does not reuse
-    the all-at-once machinery.
+    Each step solves (I/tau - lap) y^n = y^{n-1}/tau in real arithmetic: a
+    sine transform, a division by 1/tau + mu_k per mode, and the transform
+    back. Marching the reconstructed initial state forward and plugging it
+    into a method's final condition is an end-to-end consistency check that
+    does not reuse the all-at-once machinery.
     """
     state = np.asarray(initial, dtype=float)
+    spectrum = laplacian_eigenvalues(grid)
     inv_tau = 1.0 / timegrid.tau
     for _ in range(timegrid.num_steps):
-        state = shifted_solve(grid, inv_tau, state * inv_tau)
+        coeffs = spectrum.transform(state * inv_tau)
+        state = spectrum.transform(coeffs / (inv_tau + spectrum.mode_eigenvalues))
     return state
+
+
+def solve_shifts(grid: SpatialGrid, shifts, rhs) -> np.ndarray:
+    """shifted_solve's solutions, one per shift, as rows of a (k, n) array."""
+    shifts = np.asarray(shifts)
+    out = np.empty((shifts.size, grid.n_interior), dtype=complex)
+
+    def write(lo, hi, rows):
+        out[lo:hi] = rows
+
+    shifted_solve(grid, shifts, rhs, write)
+    return out
 
 
 def apply(system: AllAtOnceSystem, states: np.ndarray) -> np.ndarray:

@@ -2,14 +2,21 @@
 
 The dense step matrix and the factors V, V^{-1} come from
 circulant_reference; from_eigenspace is checked against them on blocks
-packed two real columns to a complex one.
+packed two real columns to a complex one, and pack_levels against that
+packing of a whole mirrored block.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, gamma_condition
+from bhcp.circulant import (
+    TimeGrid,
+    diagonalize,
+    from_eigenspace,
+    gamma_condition,
+    pack_levels,
+)
 
 from circulant_reference import (
     basis_matrix,
@@ -217,3 +224,31 @@ def test_condition_gamma_formula():
     assert gamma_condition(16, -1e4) == pytest.approx(1e4 ** (15 / 16))
     assert gamma_condition(16, -1e-4) == pytest.approx(1e4 ** (15 / 16))
     assert gamma_condition(4, -1.0) == pytest.approx(1.0)
+
+
+def mirrored_block(size, n, rng):
+    """A complex (size, n) block z with z[size-1-j] = conj(z[j])."""
+    z = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
+    for j in range(size // 2):
+        z[size - 1 - j] = z[j].conj()
+    return z
+
+
+@pytest.mark.parametrize("size", [6, 7, 9])
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("split", ["whole", "single", "straddle"])
+def test_pack_levels_matches_packing_of_mirrored_block(size, n, split):
+    # The solved levels 0..ceil(size/2)-1 in batches, in any order: one batch,
+    # one level per batch, or a cut below `paired` = size // 2 so that one
+    # batch holds both mirrored levels and, for an odd size, the middle one.
+    z = mirrored_block(size, n, np.random.default_rng([size, n]))
+    half = (size + 1) // 2
+    cuts = {
+        "whole": [0, half],
+        "single": list(range(half + 1)),
+        "straddle": [0, size // 2 - 1, half],
+    }[split]
+    block = np.full((size, (n + 1) // 2), np.nan, dtype=complex)
+    for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
+        pack_levels(block, lo, hi, z[lo:hi].copy())
+    assert np.array_equal(block, pack(z))

@@ -1,5 +1,6 @@
 """End-to-end checks of the ``bhcp run`` command line."""
 
+import math
 import os
 
 import pytest
@@ -192,6 +193,20 @@ def test_ill_conditioned_rows_exit_zero(tmp_path, capsys):
         assert "ill-conditioned" in captured.out
         assert f"bhcp: {method} " in captured.err
         assert "ill-conditioned: error bound cond(Gamma)*eps" in captured.err
+
+
+def test_extreme_fixed_alpha_rows_are_ok(tmp_path):
+    # at alpha 1e300 the pint rows' rhs is about 1e-300, whose squares
+    # underflow; the residual still comes out finite
+    out = str(tmp_path / "rows.csv")
+    argv = run_args(out, **{
+        "--method": "all", "--solver": "sparse-lu", "--mesh": "8x8",
+        "--seed": "1", "--alpha-rule": "fixed:1e300",
+    })
+    assert main(argv) == 0
+    rows = parse_csv(out)
+    assert [row.status for row in rows] == ["ok"] * 4
+    assert all(math.isfinite(row.residual) for row in rows)
 
 
 def test_parser_requires_subcommand():

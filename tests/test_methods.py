@@ -73,7 +73,7 @@ def test_omega_values():
 
 def test_system_dimensions():
     system = small_system(MethodKind.QBVM)
-    assert (system.n_levels, system.n_space, system.size) == (9, 7, 63)
+    assert (system.n_levels, system.n_space) == (9, 7)
     assert system.omega is None
 
 
@@ -134,7 +134,7 @@ def test_sparse_matches_matrix_free(kind, alpha):
     matrix = system.sparse()
     rng = np.random.default_rng(42)
     for _ in range(20):
-        v = rng.standard_normal(system.size)
+        v = rng.standard_normal(system.n_levels * system.n_space)
         dense = matrix @ v
         err = np.linalg.norm(apply(system, v) - dense)
         assert err <= 1e-13 * np.linalg.norm(dense)
@@ -151,7 +151,7 @@ def test_kronecker_identity(kind):
     lap = laplacian_matrix(system.grid).toarray()
     big = np.kron(c, eye_x) / tau - np.kron(eye_t, lap)
     rng = np.random.default_rng(8)
-    v = rng.standard_normal(system.size)
+    v = rng.standard_normal(system.n_levels * system.n_space)
     expected = big @ v
     assert np.linalg.norm(apply(system, v) - expected) <= 1e-13 * np.linalg.norm(
         expected
@@ -197,7 +197,7 @@ def test_pint_qbvm_equals_pint_mqbvm_at_rescaled_alpha():
 
 def test_residual_of_zero_state_is_rhs():
     system = small_system(MethodKind.QBVM)
-    vec, rel = residual(system, np.zeros(system.size))
+    vec, rel = residual(system, np.zeros(system.n_levels * system.n_space))
     assert np.array_equal(vec, system.rhs())
     assert rel == pytest.approx(1.0)
 
@@ -205,7 +205,7 @@ def test_residual_of_zero_state_is_rhs():
 def test_residual_matches_dense_oracle():
     system = small_system(MethodKind.PINT_MQBVM, alpha=0.02)
     rng = np.random.default_rng(3)
-    y = rng.standard_normal(system.size)
+    y = rng.standard_normal(system.n_levels * system.n_space)
     vec, rel = residual(system, y)
     dense_vec = system.rhs() - system.sparse().toarray() @ y
     assert np.allclose(vec, dense_vec, atol=1e-13 * np.linalg.norm(dense_vec))
@@ -274,6 +274,38 @@ def test_residual_norm_memory_is_a_few_batches(kind):
     assert norm == pytest.approx(residual(system, states)[1], rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha, magnitude", [(1e-300, 1.0), (1e300, 1e-300)])
+def test_residual_norm_of_an_extreme_rhs(alpha, magnitude):
+    # pint-mqbvm stores g/alpha in row 0, about 1e300 or 1e-300 here, whose
+    # squares overflow or underflow. Scaling the data and states of that
+    # magnitude by 2**s scales every row exactly, so the norm equals that of
+    # an in-range copy. grid_norm, which would score such a row, is not used.
+    system = small_system(MethodKind.PINT_MQBVM, alpha=alpha)
+    shift = -int(np.frexp(np.abs(system.condition_rhs()).max())[1])
+    in_range = assemble(
+        MethodKind.PINT_MQBVM, alpha, system.grid, system.timegrid,
+        np.ldexp(system.data, shift),
+    )
+    states = magnitude * np.random.default_rng(5).standard_normal(
+        (system.n_levels, system.n_space)
+    )
+    norm = SolveResult(system, states, "test").residual_norm()
+    expected = SolveResult(in_range, np.ldexp(states, shift), "test").residual_norm()
+    assert np.isfinite(norm) and norm == expected
+    solved = solve_sparse_lu(system).residual_norm()
+    assert np.isfinite(solved) and solved <= 1e-6
+
+
+def test_residual_norm_of_a_subnormal_rhs():
+    # at alpha 1e308 pint-mqbvm's row 0, g/alpha, is below the smallest
+    # normal float; the power-of-two scale is capped so that it stays finite
+    grid = build_grid(1, np.pi, 8)
+    data = 1e-3 * np.random.default_rng(1).standard_normal(grid.n_interior)
+    system = assemble(MethodKind.PINT_MQBVM, 1e308, grid, TimeGrid(1.0, 8), data)
+    assert np.abs(system.condition_rhs()).max() < np.finfo(float).tiny
+    assert np.isfinite(solve_sparse_lu(system).residual_norm())
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("dim, m, n", [(1, 8, 8), (2, 6, 5), (2, 3, 4), (1, 2, 3)])
 def test_estimated_nnz_bounds_actual(kind, dim, m, n):
@@ -281,4 +313,5 @@ def test_estimated_nnz_bounds_actual(kind, dim, m, n):
     data = np.ones(grid.n_interior)
     system = assemble(kind, 0.1, grid, TimeGrid(1.0, n), data)
     assert system.estimated_nnz() >= system.sparse().nnz
-    assert system.sparse().shape == (system.size, system.size)
+    size = system.n_levels * system.n_space
+    assert system.sparse().shape == (size, size)

