@@ -4,7 +4,9 @@ The sparse LU factors the explicit all-at-once matrix with no structure
 exploitation; it is the honest comparator for the fast solver's speedup
 claims and the only solver for the classic method kinds. A nonzero budget
 guards it: past the budget it refuses with a structured "infeasible" result
-rather than grinding.
+rather than grinding. SuperLU (scipy.sparse.linalg) is imported by the first
+admitted solve, so a process that runs only the pint solver or the oracle
+never loads it.
 
 The spectral closed form eliminates the stepping rows per sine mode. With
 rho = 1/(1 + tau*mu) the k-th mode of every level obeys yhat^n = rho^n *
@@ -19,7 +21,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .circulant import TimeGrid
 from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult
@@ -35,15 +36,33 @@ def solve_sparse_lu(
 ) -> SolveResult:
     """Direct LU solve of the explicit sparse all-at-once matrix.
 
-    Works for all four method kinds. When the estimated nonzero count
-    exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the solve is refused
-    with status "infeasible" and no timings (the factorization would dwarf
+    Works for all four method kinds. Two refusals come first, each with no
+    trajectory, no timings and a message. A time coupling with a non-finite
+    coefficient (mqbvm's alpha/tau once alpha exceeds tau times the largest
+    float) is refused with status "ill-conditioned". When the estimated
+    nonzero count exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the
+    solve is refused with status "infeasible" (the factorization would dwarf
     the fast solver's footprint at that scale); the estimate reads shapes
     only, so a refusal builds no matrix at all. timings["total"] runs from
     entry, so it covers the estimate, the assembly of the matrix and its
-    factorization.
+    factorization; the first admitted solve of a process also pays the
+    import of scipy.sparse.linalg (about 0.1 s).
     """
     start = time.perf_counter()
+    if not np.isfinite(system.time_coupling.data).all():
+        coupling = system.time_coupling.tocoo()
+        k = np.flatnonzero(~np.isfinite(coupling.data))[0]
+        return SolveResult(
+            system=system,
+            trajectory=None,
+            solver="sparse-lu",
+            status="ill-conditioned",
+            message=(
+                f"time coupling coefficient K[{coupling.row[k]}, "
+                f"{coupling.col[k]}] = {coupling.data[k]} overflows "
+                f"(alpha {system.method.alpha:.3e}, tau {system.timegrid.tau:.3e})"
+            ),
+        )
     budget = NNZ_BUDGET if nnz_budget is None else nnz_budget
     estimate = system.estimated_nnz()
     if estimate > budget:
@@ -54,6 +73,8 @@ def solve_sparse_lu(
             status="infeasible",
             message=f"estimated {estimate} nonzeros exceed the budget {budget}",
         )
+    import scipy.sparse.linalg
+
     matrix = system.sparse().tocsc()
     rhs = system.rhs()
     factor = scipy.sparse.linalg.splu(matrix)

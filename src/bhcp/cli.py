@@ -7,8 +7,9 @@ One subcommand, ``run``, executes an experiment matrix and writes a CSV:
 
 Exit status is 0 when every row completed or was refused in a structured
 way (refusals are expected outcomes: status=infeasible from a size guard,
-status=ill-conditioned from the pint solver's conditioning cut-off), 1 when
-any row errored, and 2 when the configuration or an output path was
+status=ill-conditioned from the pint solver's conditioning cut-off or from
+an overflowing time-coupling coefficient on sparse-lu), 1 when any row
+errored, and 2 when the configuration or an output path was
 rejected before any run. A reproducibility banner echoing the resolved configuration
 is printed before the runs.
 """

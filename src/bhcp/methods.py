@@ -163,27 +163,23 @@ def _time_coupling(method: MethodSpec, timegrid: TimeGrid):
     last = n_levels - 1
     tau = timegrid.tau
     alpha = method.alpha
-    rows = list(range(1, n_levels)) * 2
-    cols = list(range(1, n_levels)) + list(range(0, last))
-    vals = [1.0 / tau] * (n_levels - 1) + [-1.0 / tau] * (n_levels - 1)
     lap_levels = np.ones(n_levels, dtype=bool)
 
     if method.kind is MethodKind.QBVM:
-        rows += [0, 0]
-        cols += [0, last]
-        vals += [alpha, 1.0]
+        head_cols, head_vals = [0, last], [alpha, 1.0]
         lap_levels[0] = False
     elif method.kind is MethodKind.MQBVM:
-        rows += [0, 0, 0]
-        cols += [0, 1, last]
-        vals += [alpha / tau, -alpha / tau, 1.0]
+        head_cols, head_vals = [0, 1, last], [alpha / tau, -alpha / tau, 1.0]
         lap_levels[0] = False
     else:
         corner = 1.0 / method.condition_divisor(tau)
-        rows += [0, 0]
-        cols += [0, last]
-        vals += [1.0 / tau, corner]
+        head_cols, head_vals = [0, last], [1.0 / tau, corner]
 
+    # row n >= 1 holds -1/tau at column n-1 and 1/tau at column n
+    steps = np.arange(1, n_levels)
+    rows = np.concatenate([np.zeros(len(head_cols), dtype=int), np.repeat(steps, 2)])
+    cols = np.concatenate([head_cols, np.stack([steps - 1, steps], axis=1).ravel()])
+    vals = np.concatenate([head_vals, np.tile([-1.0 / tau, 1.0 / tau], last)])
     coupling = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(n_levels, n_levels)
     )
@@ -213,7 +209,8 @@ class SolveResult:
     the fast solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok"
     for a completed solve, "infeasible" when a guarded solver refused the
     size, or "ill-conditioned" when the fast solver refused a change of
-    basis whose roundoff bound is too large; on a refusal trajectory is
+    basis whose roundoff bound is too large or the sparse LU a time
+    coupling with a non-finite coefficient; on a refusal trajectory is
     None, timings is empty and message says why.
     """
 

@@ -1,5 +1,8 @@
 """Sparse LU baseline, the per-mode closed form, and forward marching."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -129,6 +132,66 @@ def test_refused_sparse_lu_builds_nothing():
     assert result.status == "infeasible"
     assert laplacian_matrix.cache_info().currsize == 0
     assert peak < 1024**2
+
+
+def test_sparse_lu_refuses_an_overflowing_coupling(monkeypatch):
+    # mqbvm's row 0 holds alpha/tau, which overflows at alpha 1e308, tau 1/8;
+    # the refusal comes before the nonzero estimate and any assembly
+    def unreachable(self):
+        raise AssertionError("a refused solve must build nothing")
+
+    monkeypatch.setattr(AllAtOnceSystem, "estimated_nnz", unreachable)
+    monkeypatch.setattr(AllAtOnceSystem, "sparse", unreachable)
+    result = solve_sparse_lu(make_system(MethodKind.MQBVM, alpha=1e308))
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None
+    assert result.timings == {}
+    assert "K[0, 0] = inf overflows" in result.message
+    assert "alpha 1.000e+308" in result.message
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+import bhcp.baseline
+from bhcp import ExperimentConfig, MethodKind, run_experiment
+from bhcp.circulant import TimeGrid
+from bhcp.methods import assemble
+from bhcp.space import build_grid
+
+def loaded():
+    return "scipy.sparse.linalg" in sys.modules
+
+assert not loaded()
+for solver, methods in (
+    ("pint", (MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM)),
+    ("spectral-oracle", tuple(MethodKind)),
+):
+    config = ExperimentConfig(1, methods, solver, ((8, 8),), (0.1,), seed=1)
+    for report in run_experiment(config):
+        assert report.status == "ok" and report.residual < 1e-10, report
+assert not loaded()
+grid = build_grid(1, 3.0, 8)
+system = assemble(MethodKind.QBVM, 0.1, grid, TimeGrid(1.0, 8), [1.0] * 7)
+budget = bhcp.baseline.NNZ_BUDGET
+bhcp.baseline.NNZ_BUDGET = 0
+assert bhcp.baseline.solve_sparse_lu(system).status == "infeasible"
+assert not loaded()
+bhcp.baseline.NNZ_BUDGET = budget
+assert bhcp.baseline.solve_sparse_lu(system).status == "ok"
+assert loaded()
+"""
+
+
+def test_sparse_lu_stack_loads_on_the_first_admitted_solve():
+    # a pint or oracle sweep, and a refused sparse-LU solve, leave SuperLU
+    # unloaded; a fresh process is needed because this module imports it
+    src = os.path.dirname(os.path.dirname(bhcp.baseline.__file__))
+    subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

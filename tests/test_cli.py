@@ -209,6 +209,20 @@ def test_extreme_fixed_alpha_rows_are_ok(tmp_path):
     assert all(math.isfinite(row.residual) for row in rows)
 
 
+def test_overflowing_mqbvm_row_is_refused(tmp_path, capsys):
+    # at alpha 1e308 mqbvm's alpha/tau overflows; that row is refused and
+    # the other three kinds still answer
+    out = str(tmp_path / "rows.csv")
+    argv = run_args(out, **{
+        "--method": "all", "--solver": "sparse-lu", "--mesh": "8x8",
+        "--seed": "1", "--alpha-rule": "fixed:1e308",
+    })
+    assert main(argv) == 0
+    rows = parse_csv(out)
+    assert [row.status for row in rows] == ["ok", "ill-conditioned", "ok", "ok"]
+    assert "bhcp: mqbvm M=8 N=8 eps=0.1 ill-conditioned: " in capsys.readouterr().err
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args([])

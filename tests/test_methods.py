@@ -128,6 +128,37 @@ def test_classic_first_rows():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_time_coupling_matches_the_docstring_rows(kind, n):
+    alpha = 0.3
+    system = small_system(kind, alpha=alpha, n=n)
+    tau = system.timegrid.tau
+    expected = np.zeros((n + 1, n + 1))
+    for level in range(1, n + 1):
+        expected[level, level] = 1.0 / tau
+        expected[level, level - 1] = -1.0 / tau
+    # row 0 as written in the module docstring; at N = 1 mqbvm's two
+    # entries in column 1 sum into one
+    if kind is MethodKind.QBVM:
+        expected[0, 0] += alpha
+        expected[0, n] += 1.0
+    elif kind is MethodKind.MQBVM:
+        expected[0, 0] += alpha / tau
+        expected[0, 1] -= alpha / tau
+        expected[0, n] += 1.0
+    elif kind is MethodKind.PINT_QBVM:
+        expected[0, 0] += 1.0 / tau
+        expected[0, n] += 1.0 / (tau * alpha)
+    else:
+        expected[0, 0] += 1.0 / tau
+        expected[0, n] += 1.0 / alpha
+    coupling = system.time_coupling
+    assert coupling.has_canonical_format
+    assert np.array_equal(coupling.toarray(), expected)
+    assert list(system.lap_levels) == [kind.is_circulant] + [True] * n
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("alpha", [1e-1, 1e-3])
 def test_sparse_matches_matrix_free(kind, alpha):
     system = small_system(kind, alpha=alpha)
