@@ -4,22 +4,17 @@ Recovers the initial state of a Dirichlet heat problem from noisy final
 data. Four regularized final conditions are implemented; two of them give
 the all-at-once space-time system an omega-circulant time coupling that an
 FFT diagonalization solves directly in quasi-linear time. A generic sparse
-LU baseline, a per-mode closed-form oracle, continuum series analysis, and
-a benchmark CLI round out the package.
+LU baseline, a per-mode closed-form oracle, two benchmark problems with a
+noise model, and a benchmark CLI round out the package.
 """
 
 from .analysis import (
     NoisyData,
     ProblemSpec,
-    SpectralCoefficients,
     add_noise,
-    error_bound,
     exact_solution_ex1,
     exact_solution_ex2,
     get_problem,
-    regularized_series,
-    stability_bound,
-    theorem1_bound,
 )
 from .baseline import NNZ_BUDGET, solve_sparse_lu, solve_spectral_oracle
 from .bench import (

@@ -37,31 +37,25 @@ def solve_sparse_lu(
     """Direct LU solve of the explicit sparse all-at-once matrix.
 
     Works for all four method kinds. Two refusals come first, each with no
-    trajectory, no timings and a message. A time coupling with a non-finite
-    coefficient (mqbvm's alpha/tau once alpha exceeds tau times the largest
-    float) is refused with status "ill-conditioned". When the estimated
-    nonzero count exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the
-    solve is refused with status "infeasible" (the factorization would dwarf
-    the fast solver's footprint at that scale); the estimate reads shapes
-    only, so a refusal builds no matrix at all. timings["total"] runs from
+    trajectory, no timings and a message. A system whose row 0 overflows
+    (AllAtOnceSystem.overflow) is refused with status "ill-conditioned".
+    When the estimated nonzero count exceeds NNZ_BUDGET (or ``nnz_budget``,
+    when given) the solve is refused with status "infeasible" (the
+    factorization would dwarf the fast solver's footprint at that scale);
+    the estimate reads shapes only, so a refusal builds no matrix at all. timings["total"] runs from
     entry, so it covers the estimate, the assembly of the matrix and its
     factorization; the first admitted solve of a process also pays the
     import of scipy.sparse.linalg (about 0.1 s).
     """
     start = time.perf_counter()
-    if not np.isfinite(system.time_coupling.data).all():
-        coupling = system.time_coupling.tocoo()
-        k = np.flatnonzero(~np.isfinite(coupling.data))[0]
+    overflow = system.overflow()
+    if overflow is not None:
         return SolveResult(
             system=system,
             trajectory=None,
             solver="sparse-lu",
             status="ill-conditioned",
-            message=(
-                f"time coupling coefficient K[{coupling.row[k]}, "
-                f"{coupling.col[k]}] = {coupling.data[k]} overflows "
-                f"(alpha {system.method.alpha:.3e}, tau {system.timegrid.tau:.3e})"
-            ),
+            message=overflow,
         )
     budget = NNZ_BUDGET if nnz_budget is None else nnz_budget
     estimate = system.estimated_nnz()
@@ -100,10 +94,13 @@ def solve_spectral_oracle(
     The sine transform decouples the system into one scalar chain per mode;
     eliminating the stepping rows leaves yhat^0_k = ghat_k / D_k with a
     method-specific D_k, then the recurrence yhat^n_k = rho_k yhat^{n-1}_k
-    rebuilds the whole trajectory. D_k is strictly positive for alpha > 0,
-    so this never fails. The result carries the assembled system, which also
-    checks the shape of ``data``, so residual checks are uniform across
-    solvers.
+    rebuilds the whole trajectory. D_k is strictly positive for alpha > 0.
+    Two refusals, each with status "ill-conditioned", no trajectory and a
+    message, cover what has no finite answer here: a system whose row 0
+    overflows (AllAtOnceSystem.overflow), and a D_k past the largest float
+    (the pint kinds' alpha*(1 + tau*mu_k) at alpha near it), whose quotient
+    would read as zero. The result carries the assembled system, which also checks the
+    shape of ``data``, so residual checks are uniform across solvers.
     """
     system = AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
     start = time.perf_counter()
@@ -112,14 +109,29 @@ def solve_spectral_oracle(
     tau = timegrid.tau
     rho = 1.0 / (1.0 + tau * mu)
     decay = rho**timegrid.num_steps
-    if kind is MethodKind.QBVM:
-        denom = alpha + decay
-    elif kind is MethodKind.MQBVM:
-        denom = alpha * mu * rho + decay
-    elif kind is MethodKind.PINT_QBVM:
-        denom = alpha * (1.0 + tau * mu) + decay
-    else:
-        denom = alpha * (mu + 1.0 / tau) + decay
+    with np.errstate(over="ignore"):
+        if kind is MethodKind.QBVM:
+            denom = alpha + decay
+        elif kind is MethodKind.MQBVM:
+            denom = alpha * mu * rho + decay
+        elif kind is MethodKind.PINT_QBVM:
+            denom = alpha * (1.0 + tau * mu) + decay
+        else:
+            denom = alpha * (mu + 1.0 / tau) + decay
+    message = system.overflow()
+    if message is None and not np.isfinite(denom.max()):
+        message = (
+            f"per-mode denominator D_k = {denom.max()} overflows "
+            f"(alpha {alpha:.3e}, tau {tau:.3e})"
+        )
+    if message is not None:
+        return SolveResult(
+            system=system,
+            trajectory=None,
+            solver="spectral-oracle",
+            status="ill-conditioned",
+            message=message,
+        )
     trajectory = np.empty((timegrid.n_levels, grid.n_interior))
     # Filled by the recurrence and transformed in place, so the trajectory
     # is the only full-size array.

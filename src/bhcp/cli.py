@@ -7,11 +7,12 @@ One subcommand, ``run``, executes an experiment matrix and writes a CSV:
 
 Exit status is 0 when every row completed or was refused in a structured
 way (refusals are expected outcomes: status=infeasible from a size guard,
-status=ill-conditioned from the pint solver's conditioning cut-off or from
-an overflowing time-coupling coefficient on sparse-lu), 1 when any row
-errored, and 2 when the configuration or an output path was
-rejected before any run. A reproducibility banner echoing the resolved configuration
-is printed before the runs.
+status=ill-conditioned from the pint solver's conditioning cut-off, from
+any solver when row 0 of the system overflows, or from the oracle when a
+per-mode denominator does), 1 when any row errored, and 2 when the
+configuration or an output path was rejected before any run. A
+reproducibility banner echoing the resolved configuration is printed
+before the runs.
 """
 
 from __future__ import annotations

@@ -129,6 +129,35 @@ class AllAtOnceSystem:
         """
         return self.data / self.method.condition_divisor(self.timegrid.tau)
 
+    def overflow(self) -> Optional[str]:
+        """Why the stored row 0 is not finite, or None when it is.
+
+        A time-coupling coefficient overflows for mqbvm's alpha/tau at a huge
+        alpha and for the pint corner 1/divisor at a tiny one; the condition
+        right-hand side data/divisor overflows when max|data|/divisor does.
+        That quotient is its largest entry, found from data.min() and
+        data.max(), so no data-sized array is made. Every solver calls this
+        first and refuses a system it names as "ill-conditioned".
+        """
+        if np.isfinite(self.time_coupling.data).all():
+            largest = max(abs(self.data.min()), abs(self.data.max()))
+            with np.errstate(over="ignore"):
+                peak = largest / self.method.condition_divisor(self.timegrid.tau)
+            if np.isfinite(peak):
+                return None
+            what = f"condition right-hand side max|g|/divisor = {peak}"
+        else:
+            coupling = self.time_coupling.tocoo()
+            k = np.flatnonzero(~np.isfinite(coupling.data))[0]
+            what = (
+                f"time coupling coefficient K[{coupling.row[k]}, "
+                f"{coupling.col[k]}] = {coupling.data[k]}"
+            )
+        return (
+            f"{what} overflows (alpha {self.method.alpha:.3e}, "
+            f"tau {self.timegrid.tau:.3e})"
+        )
+
     def rhs(self) -> np.ndarray:
         """Stacked right-hand side: scaled data in block 0, zeros elsewhere."""
         out = np.zeros((self.n_levels, self.n_space))
@@ -172,7 +201,10 @@ def _time_coupling(method: MethodSpec, timegrid: TimeGrid):
         head_cols, head_vals = [0, 1, last], [alpha / tau, -alpha / tau, 1.0]
         lap_levels[0] = False
     else:
-        corner = 1.0 / method.condition_divisor(tau)
+        # an np.float64 division, so an underflowed divisor gives an inf
+        # corner, which overflow() reports, instead of raising
+        with np.errstate(divide="ignore", over="ignore"):
+            corner = np.float64(1.0) / method.condition_divisor(tau)
         head_cols, head_vals = [0, last], [1.0 / tau, corner]
 
     # row n >= 1 holds -1/tau at column n-1 and 1/tau at column n
@@ -208,9 +240,9 @@ class SolveResult:
     phase names to wall-clock seconds ("total" on every completed solve;
     the fast solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok"
     for a completed solve, "infeasible" when a guarded solver refused the
-    size, or "ill-conditioned" when the fast solver refused a change of
-    basis whose roundoff bound is too large or the sparse LU a time
-    coupling with a non-finite coefficient; on a refusal trajectory is
+    size, or "ill-conditioned" when any solver refused a system whose row 0
+    overflows (AllAtOnceSystem.overflow) or the fast solver a change of
+    basis whose roundoff bound is too large; on a refusal trajectory is
     None, timings is empty and message says why.
     """
 

@@ -26,9 +26,10 @@ shifted_solve spreads them over the CPUs the process may run on for that one
 call, and the result is bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
-its peak memory is about one trajectory. Two refusals come before anything
-is allocated: a block over BLOCK_BUDGET, and a change of basis whose
-roundoff bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT.
+its peak memory is about one trajectory. Three refusals come before
+anything is allocated: a row 0 that overflows (the one check every solver
+shares), a block over BLOCK_BUDGET, and a change of basis whose roundoff
+bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT.
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     plus their sum as "total"; step A includes the diagonalization of the
     time coupling. The returned trajectory is real.
 
-    Two refusals come before any work, each with no trajectory, no timings
-    and a message: status "infeasible" when the (n_levels, ceil(n_space/2))
-    complex block would exceed BLOCK_BUDGET bytes, and status
-    "ill-conditioned" when the roundoff bound cond(Gamma) * eps_mach of the
-    change of basis exceeds ERROR_BOUND_LIMIT.
+    Three refusals come before any work, each with no trajectory, no
+    timings and a message: status "ill-conditioned" when row 0 overflows
+    (AllAtOnceSystem.overflow, checked before omega is formed), status
+    "infeasible" when the (n_levels, ceil(n_space/2)) complex block would
+    exceed BLOCK_BUDGET bytes, and status "ill-conditioned" when the
+    roundoff bound cond(Gamma) * eps_mach of the change of basis exceeds
+    ERROR_BOUND_LIMIT.
     """
     if not system.method.kind.is_circulant:
         raise ValueError(
@@ -75,18 +78,19 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     n_levels, n_space = system.n_levels, system.n_space
     width = (n_space + 1) // 2
     block_nbytes = 16 * n_levels * width
-    error_bound = gamma_condition(n_levels, system.omega) * np.finfo(float).eps
-    status = None
-    if block_nbytes > BLOCK_BUDGET:
+    message = system.overflow()
+    status = "ill-conditioned"
+    if message is None and block_nbytes > BLOCK_BUDGET:
         status = "infeasible"
         message = f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}"
-    elif error_bound > ERROR_BOUND_LIMIT:
-        status = "ill-conditioned"
-        message = (
-            f"error bound cond(Gamma)*eps = {error_bound:.3e} exceeds "
-            f"{ERROR_BOUND_LIMIT:.0e}"
-        )
-    if status is not None:
+    elif message is None:
+        error_bound = gamma_condition(n_levels, system.omega) * np.finfo(float).eps
+        if error_bound > ERROR_BOUND_LIMIT:
+            message = (
+                f"error bound cond(Gamma)*eps = {error_bound:.3e} exceeds "
+                f"{ERROR_BOUND_LIMIT:.0e}"
+            )
+    if message is not None:
         return SolveResult(
             system=system,
             trajectory=None,

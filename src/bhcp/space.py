@@ -123,9 +123,18 @@ def _check_field(values, grid: SpatialGrid) -> np.ndarray:
 
 
 def grid_norm(values: np.ndarray, grid: SpatialGrid) -> float:
-    """Discrete L2 norm, the vector 2-norm weighted by h**(dim/2)."""
+    """Discrete L2 norm, the vector 2-norm weighted by h**(dim/2).
+
+    When the squares of finite values overflow, the norm is taken again of
+    the values scaled by a power of two near 1/max|values|, which is exact.
+    """
     values = _check_field(values, grid)
-    return float(grid.h ** (grid.dim / 2.0) * np.linalg.norm(values))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(values)
+    if np.isinf(norm) and np.isfinite(values).all():
+        scale = np.ldexp(1.0, -int(np.frexp(np.abs(values).max())[1]))
+        norm = np.linalg.norm(values * scale) / scale
+    return float(grid.h ** (grid.dim / 2.0) * norm)
 
 
 def apply_laplacian(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:

@@ -14,13 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from bhcp.analysis import (
-    SpectralCoefficients,
-    add_noise,
-    get_problem,
-    regularized_series,
-    theorem1_bound,
-)
+from bhcp.analysis import add_noise, get_problem
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import ExperimentConfig, run_experiment
 from bhcp.circulant import TimeGrid, diagonalize, gamma_condition
@@ -29,6 +23,7 @@ from bhcp.pint import solve_pint
 from bhcp.space import build_grid
 
 from circulant_reference import reconstruct, step_matrix
+from series_reference import SpectralCoefficients, regularized_series, theorem1_bound
 from solver_reference import residual
 
 ALPHAS = (1e-1, 1e-3, 1e-6)

@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 from bhcp.analysis import (
-    SpectralCoefficients,
     add_noise,
-    error_bound,
     exact_solution_ex1,
     exact_solution_ex2,
     get_problem,
-    regularized_series,
-    stability_bound,
-    theorem1_bound,
 )
 from bhcp.circulant import TimeGrid
 from bhcp.methods import MethodKind
 from bhcp.space import build_grid, grid_norm
 
+from series_reference import (
+    E0,
+    SERIES,
+    SpectralCoefficients,
+    error_bound,
+    regularized_series,
+    stability_bound,
+    theorem1_bound,
+)
 from solver_reference import march_forward
 
 
@@ -79,34 +83,33 @@ def test_problem_metadata():
     ex1, ex2 = get_problem(1), get_problem(2)
     assert (ex1.dim, ex1.horizon) == (1, 1.0)
     assert (ex2.dim, ex2.horizon) == (2, 1.0)
-    assert ex1.e0 == pytest.approx(math.sqrt(np.pi**3 / 3))
-    assert ex2.e0 == pytest.approx(np.pi / 2)
+    assert E0[ex1.example] == pytest.approx(math.sqrt(np.pi**3 / 3))
+    assert E0[ex2.example] == pytest.approx(np.pi / 2)
 
 
 def test_initial_norm_within_stated_bound():
     # the implied initial norm stays below e0 and nearly saturates it; the
     # slack covers series truncation and underflow of the deepest modes
-    for problem in (get_problem(1), get_problem(2)):
-        norm = problem.series.initial_norm()
-        assert norm <= problem.e0 * (1 + 1e-12)
-        assert norm >= problem.e0 * (1 - 1e-5)
+    for example in (1, 2):
+        norm = SERIES[example].initial_norm()
+        assert norm <= E0[example] * (1 + 1e-12)
+        assert norm >= E0[example] * (1 - 1e-5)
 
 
 def test_series_reproduces_final_data_ex1():
     # orthonormal coefficients against the closed-form solution at the horizon
-    problem = get_problem(1)
+    series = SERIES[1]
     x = np.array([0.5, 1.2, np.pi / 2, 2.5])
-    k = np.sqrt(problem.series.eigenvalues)
+    k = np.sqrt(series.eigenvalues)
     basis = np.sqrt(2 / np.pi) * np.sin(np.outer(x, k))
-    series_value = basis @ problem.series.coefficients
+    series_value = basis @ series.coefficients
     assert np.allclose(series_value, exact_solution_ex1(x, 1.0), atol=1e-12)
 
 
 def test_series_reproduces_final_data_ex2():
-    problem = get_problem(2)
     x1, x2 = 0.7, 1.9
     basis = (2 / np.pi) * np.sin(x1) * np.sin(x2)
-    assert basis * problem.series.coefficients[0] == pytest.approx(
+    assert basis * SERIES[2].coefficients[0] == pytest.approx(
         exact_solution_ex2(x1, x2, 1.0), rel=1e-14
     )
 
@@ -129,7 +132,7 @@ def test_data_norm_matches_grid_quadrature():
         problem = get_problem(which)
         grid = build_grid(dim, np.pi, 256 if dim == 1 else 64)
         sampled = grid_norm(problem.final_on_grid(grid), grid)
-        assert sampled == pytest.approx(problem.series.data_norm(), rel=1e-3)
+        assert sampled == pytest.approx(SERIES[which].data_norm(), rel=1e-3)
 
 
 def test_spectral_coefficients_validation():

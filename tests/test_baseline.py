@@ -243,6 +243,22 @@ def test_oracle_tiny_alpha_amplifies_all_modes():
     assert np.linalg.norm(result.initial_state) > np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("kind", [MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM])
+def test_oracle_refuses_an_overflowing_denominator(kind):
+    # the stored row 0 is finite at alpha 1e308, but alpha*(1 + tau*mu_k)
+    # passes the largest float for the high modes, whose quotients would
+    # be zeroed and leave a relative residual of about 1
+    grid = build_grid(1, np.pi, 8)
+    data = np.random.default_rng(3).standard_normal(grid.n_interior)
+    result = solve_spectral_oracle(kind, 1e308, grid, TimeGrid(1.0, 8), data)
+    assert result.system.overflow() is None
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None and result.timings == {}
+    assert result.message == (
+        "per-mode denominator D_k = inf overflows (alpha 1.000e+308, tau 1.250e-01)"
+    )
+
+
 def test_oracle_validates_data_shape():
     grid = build_grid(1, np.pi, 8)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Experiment driver: scoring, seeding, config validation, CSV and profiles."""
 
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -199,6 +200,37 @@ def test_run_experiment_infeasible_rows(monkeypatch):
     assert report.status == "infeasible"
     assert math.isnan(report.error_l2)
     assert math.isnan(report.wall_total_s)
+
+
+EXTREME_ALPHAS = (5e-324, 1e-323, 1e-310, 1e-300, 1e-12, 1.0, 1e300, 1e308, 1.7e308)
+
+
+def test_extreme_fixed_alphas_give_answers_or_refusals():
+    # Every solver, every kind it solves, both examples (M=2, N=1 included),
+    # eps at both ends: each row is ok with a finite residual or a
+    # structured refusal. At the tiny alphas the pint corner 1/(tau*alpha)
+    # overflows or its divisor underflows to 0, at the huge ones mqbvm's
+    # alpha/tau overflows, and every solver refuses those rows.
+    solvers = {
+        "pint": PINT_KINDS,
+        "sparse-lu": tuple(MethodKind),
+        "spectral-oracle": tuple(MethodKind),
+    }
+    problems = ((1, ((8, 8), (2, 1))), (2, ((5, 4),)))
+    count = 0
+    for (solver, methods), (example, meshes), alpha in itertools.product(
+        solvers.items(), problems, EXTREME_ALPHAS
+    ):
+        config = ExperimentConfig(
+            example, methods, solver, meshes, (0.0, 0.1, 1.0), seed=3,
+            alpha_rule=f"fixed:{alpha!r}",
+        )
+        for report in run_experiment(config):
+            assert report.status in ("ok", "infeasible", "ill-conditioned"), report
+            if report.status == "ok":
+                assert math.isfinite(report.residual), report
+            count += 1
+    assert count == 810
 
 
 def test_oracle_solver_error_decreases_under_refinement():

@@ -223,6 +223,34 @@ def test_overflowing_mqbvm_row_is_refused(tmp_path, capsys):
     assert "bhcp: mqbvm M=8 N=8 eps=0.1 ill-conditioned: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, statuses",
+    [
+        (
+            {"--method": "all", "--solver": "sparse-lu",
+             "--alpha-rule": "fixed:1e-323"},
+            ["ok", "ok", "ill-conditioned", "ill-conditioned"],
+        ),
+        (
+            {"--method": "pint-mqbvm", "--solver": "spectral-oracle",
+             "--alpha-rule": "fixed:5e-324"},
+            ["ill-conditioned"],
+        ),
+    ],
+)
+def test_underflowing_alpha_rows_are_refused(tmp_path, capsys, overrides, statuses):
+    # at these alphas the pint corner 1/(tau*alpha) or 1/alpha is inf (for
+    # pint-qbvm tau*alpha underflows to 0); those rows are refused by the
+    # solver and the run exits 0
+    out = str(tmp_path / "rows.csv")
+    argv = run_args(out, **{"--mesh": "8x8", "--seed": "1", **overrides})
+    assert main(argv) == 0
+    assert [row.status for row in parse_csv(out)] == statuses
+    err = capsys.readouterr().err
+    assert "bhcp: pint-mqbvm M=8 N=8 eps=0.1 ill-conditioned: " in err
+    assert "failed" not in err
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args([])

@@ -337,6 +337,38 @@ def test_residual_norm_of_a_subnormal_rhs():
     assert np.isfinite(solve_sparse_lu(system).residual_norm())
 
 
+def test_overflow_names_an_underflowed_pint_corner():
+    assert all(small_system(kind).overflow() is None for kind in ALL_KINDS)
+    # tau*alpha underflows to 0 and 1/(tau*alpha) is inf, without a warning
+    system = small_system(MethodKind.PINT_QBVM, alpha=5e-324)
+    assert system.time_coupling[0, 8] == np.inf
+    assert system.overflow() == (
+        "time coupling coefficient K[0, 8] = inf overflows "
+        "(alpha 4.941e-324, tau 1.250e-01)"
+    )
+
+
+@pytest.mark.parametrize("solver", ["pint", "sparse-lu", "spectral-oracle"])
+def test_every_solver_refuses_an_overflowing_condition_rhs(solver):
+    # the corner 1/alpha = 1e10 is finite, but g/alpha is about 1e310
+    grid = build_grid(1, np.pi, 8)
+    data = np.full(grid.n_interior, 1e300)
+    data[3] = -2e300
+    timegrid = TimeGrid(1.0, 8)
+    kind = MethodKind.PINT_MQBVM
+    if solver == "spectral-oracle":
+        result = solve_spectral_oracle(kind, 1e-10, grid, timegrid, data)
+    else:
+        system = assemble(kind, 1e-10, grid, timegrid, data)
+        result = (solve_pint if solver == "pint" else solve_sparse_lu)(system)
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None and result.timings == {}
+    assert result.message == (
+        "condition right-hand side max|g|/divisor = inf overflows "
+        "(alpha 1.000e-10, tau 1.250e-01)"
+    )
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("dim, m, n", [(1, 8, 8), (2, 6, 5), (2, 3, 4), (1, 2, 3)])
 def test_estimated_nnz_bounds_actual(kind, dim, m, n):

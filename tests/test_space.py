@@ -75,6 +75,18 @@ def test_grid_norm_weighting():
         grid_norm(np.ones(5), grid)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_norm_of_values_whose_squares_overflow(dim):
+    # an error of 1e285, which a wrong answer can have, is finite; scaling
+    # by a power of two makes the norm that of an in-range copy exactly
+    grid = build_grid(dim, np.pi, 6)
+    values = np.random.default_rng(2).standard_normal(grid.n_interior)
+    shift = 950
+    huge = grid_norm(np.ldexp(values, shift), grid)
+    assert np.isfinite(huge)
+    assert huge == grid.h ** (dim / 2.0) * np.ldexp(np.linalg.norm(values), shift)
+
+
 @pytest.mark.parametrize("dim, cells", [(1, 9), (2, 6)])
 def test_laplacian_matrix_is_cached_per_grid(dim, cells):
     grid = build_grid(dim, np.pi, cells)
