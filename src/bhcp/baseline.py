@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .circulant import TimeGrid
-from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult
+from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult, reuse
 from .space import SpatialGrid, laplacian_eigenvalues
 
 # Largest estimated nonzero count of the all-at-once matrix that
@@ -32,21 +32,32 @@ NNZ_BUDGET = 8_000_000
 
 
 def solve_sparse_lu(
-    system: AllAtOnceSystem, nnz_budget: int | None = None
+    system: AllAtOnceSystem,
+    nnz_budget: int | None = None,
+    known: SolveResult | None = None,
 ) -> SolveResult:
     """Direct LU solve of the explicit sparse all-at-once matrix.
 
-    Works for all four method kinds. Two refusals come first, each with no
-    trajectory, no timings and a message. A system whose row 0 overflows
-    (AllAtOnceSystem.overflow) is refused with status "ill-conditioned".
-    When the estimated nonzero count exceeds NNZ_BUDGET (or ``nnz_budget``,
-    when given) the solve is refused with status "infeasible" (the
-    factorization would dwarf the fast solver's footprint at that scale);
-    the estimate reads shapes only, so a refusal builds no matrix at all. timings["total"] runs from
-    entry, so it covers the estimate, the assembly of the matrix and its
-    factorization; the first admitted solve of a process also pays the
+    Works for all four method kinds. When ``known`` is a result for a
+    bitwise equal system (AllAtOnceSystem.same_as), nothing is solved: the
+    result shares its trajectory and is marked shared (methods.reuse).
+
+    Two refusals come first, each with no trajectory, no timings and a
+    message. A system whose row 0 overflows (AllAtOnceSystem.overflow) is
+    refused with status "ill-conditioned". When the estimated nonzero count
+    exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the solve is refused
+    with status "infeasible" (the factorization would dwarf the fast
+    solver's footprint at that scale); the estimate reads shapes only, so a
+    refusal builds no matrix at all. A solution with a non-finite entry,
+    which a tiny alpha's pint corner can give, is refused after the solve
+    as "ill-conditioned". timings["total"] runs from entry, so it covers
+    the estimate, the assembly of the matrix, its factorization and the
+    finiteness check; the first admitted solve of a process also pays the
     import of scipy.sparse.linalg (about 0.1 s).
     """
+    shared = reuse(known, system)
+    if shared is not None:
+        return shared
     start = time.perf_counter()
     overflow = system.overflow()
     if overflow is not None:
@@ -73,6 +84,19 @@ def solve_sparse_lu(
     rhs = system.rhs()
     factor = scipy.sparse.linalg.splu(matrix)
     solution = factor.solve(rhs)
+    finite = np.isfinite(solution)
+    if not finite.all():
+        return SolveResult(
+            system=system,
+            trajectory=None,
+            solver="sparse-lu",
+            status="ill-conditioned",
+            message=(
+                f"LU solution has {finite.size - np.count_nonzero(finite)} "
+                f"non-finite entries (alpha {system.method.alpha:.3e}, "
+                f"tau {system.timegrid.tau:.3e})"
+            ),
+        )
     elapsed = time.perf_counter() - start
     return SolveResult(
         system=system,

@@ -128,7 +128,9 @@ class SolveReport:
     """One CSV row: a (method, mesh, eps, repeat) cell and its scores.
 
     The scores default to NaN and the status to "error", which is what a
-    cell keeps when it fails before they are known.
+    cell keeps when it fails before they are known. ``shared`` is 1 when
+    the row took the previous row's answer for a bitwise equal system; its
+    wall_total_s is then the time of that check and its wall_step*_s NaN.
     """
 
     method: str
@@ -146,6 +148,7 @@ class SolveReport:
     wall_stepA_s: float = np.nan
     wall_stepB_s: float = np.nan
     wall_stepC_s: float = np.nan
+    shared: int = 0
     status: str = "error"
 
 
@@ -160,7 +163,15 @@ def cell_seed(root_seed: int, m: int, n: int, eps: float, repeat: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run the full matrix and return one SolveReport per cell and method."""
+    """Run the full matrix and return one SolveReport per cell and method.
+
+    Every row calls its solver once. Within a noise draw the last answered
+    row's result and report are kept, and the solver is handed that result:
+    for a bitwise equal system it returns the same answer, marked shared,
+    and the row copies error_l2 and residual from the kept report. The kept
+    pair is dropped at the start of each draw and before any solve of a
+    system it does not match, so at most one trajectory is alive.
+    """
     problem = get_problem(config.example)
     reports = []
     for m, n in config.meshes:
@@ -172,12 +183,13 @@ def run_experiment(config: ExperimentConfig) -> list:
             for repeat in range(config.repeats):
                 seed = cell_seed(config.seed, m, n, eps, repeat)
                 noisy = add_noise(clean, eps, seed, grid)
+                last = []  # (result, report) of the last answered row
                 for kind in config.methods:
                     reports.append(
                         _run_cell(
                             config, problem, kind, grid, timegrid,
                             noisy.values, noisy.delta, eps, seed,
-                            exact_initial,
+                            exact_initial, last,
                         )
                     )
     return reports
@@ -190,13 +202,18 @@ def _solve(
     grid: SpatialGrid,
     timegrid: TimeGrid,
     data: np.ndarray,
+    last: list,
 ) -> SolveResult:
     if config.solver == "spectral-oracle":
+        last.clear()  # the reference never shares
         return solve_spectral_oracle(kind, alpha, grid, timegrid, data)
     system = assemble(kind, alpha, grid, timegrid, data)
+    known = last[0] if last and last[0].system.same_as(system) else None
+    if known is None:
+        last.clear()  # so its trajectory is freed before a new one is made
     if config.solver == "pint":
-        return solve_pint(system)
-    return solve_sparse_lu(system)
+        return solve_pint(system, known=known)
+    return solve_sparse_lu(system, known=known)
 
 
 def _run_cell(
@@ -210,6 +227,7 @@ def _run_cell(
     eps: float,
     seed: int,
     exact_initial: np.ndarray,
+    last: list,
 ) -> SolveReport:
     report = SolveReport(
         method=kind.value,
@@ -225,13 +243,17 @@ def _run_cell(
     try:
         alpha = resolve_alpha(config.alpha_rule, kind, delta, timegrid.tau)
         report.alpha = alpha
-        result = _solve(config, kind, alpha, grid, timegrid, data)
+        result = _solve(config, kind, alpha, grid, timegrid, data, last)
         report.status = result.status
+        report.shared = int(result.shared)
         if result.status != "ok":
             print(f"{where} {result.status}: {result.message}", file=sys.stderr)
             return report
-        report.error_l2 = grid_norm(result.initial_state - exact_initial, grid)
-        report.residual = result.residual_norm()
+        if result.shared:
+            report.error_l2, report.residual = last[1].error_l2, last[1].residual
+        else:
+            report.error_l2 = grid_norm(result.initial_state - exact_initial, grid)
+            report.residual = result.residual_norm()
         report.wall_total_s = result.timings.get("total", np.nan)
         report.wall_stepA_s = result.timings.get("step_a", np.nan)
         report.wall_stepB_s = result.timings.get("step_b", np.nan)
@@ -243,6 +265,7 @@ def _run_cell(
                 result.initial_state,
                 exact_initial,
             )
+        last[:] = [result, report]
     except Exception as exc:  # recorded per row so the sweep keeps going
         report.status = "error"
         print(f"{where} failed: {exc}", file=sys.stderr)

@@ -171,11 +171,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     emit_csv(reports, args.out)
 
     for report in reports:
+        wall = "shared" if report.shared else f"wall={report.wall_total_s:.3f}s"
         print(
             f"{report.method:>11} M={report.M:<5} N={report.N:<5} "
             f"eps={report.eps:<8g} delta={report.delta:.3e} "
             f"alpha={report.alpha:.3e} e_h={report.error_l2:.4f} "
-            f"wall={report.wall_total_s:.3f}s {report.status}"
+            f"{wall} {report.status}"
         )
     print(f"# wrote {len(reports)} rows ({CSV_COLUMNS.count(',') + 1} columns) to {args.out}")
     return 1 if any(report.status == "error" for report in reports) else 0

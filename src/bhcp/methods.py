@@ -21,6 +21,7 @@ can solve them.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -158,6 +159,28 @@ class AllAtOnceSystem:
             f"tau {self.timegrid.tau:.3e})"
         )
 
+    def same_as(self, other: "AllAtOnceSystem") -> bool:
+        """Whether ``other`` is bitwise this operator and right-hand side.
+
+        Compares the grids, the time coupling's CSR arrays, the Laplacian
+        switch, the condition divisor and the data, O(n_levels + n_space)
+        values, without building rhs(). The method kinds and alphas may
+        differ: under the paper's pairing pint-qbvm at alpha and pint-mqbvm
+        at tau*alpha store the same system (criterion 7).
+        """
+        if (self.grid, self.timegrid) != (other.grid, other.timegrid):
+            return False
+        mine, theirs = self.time_coupling, other.time_coupling
+        tau = self.timegrid.tau
+        return all(_same_bits(a, b) for a, b in (
+            (mine.indptr, theirs.indptr),
+            (mine.indices, theirs.indices),
+            (mine.data, theirs.data),
+            (self.lap_levels, other.lap_levels),
+            (self.method.condition_divisor(tau), other.method.condition_divisor(tau)),
+            (self.data, other.data),
+        ))
+
     def rhs(self) -> np.ndarray:
         """Stacked right-hand side: scaled data in block 0, zeros elsewhere."""
         out = np.zeros((self.n_levels, self.n_space))
@@ -184,6 +207,15 @@ class AllAtOnceSystem:
             self.time_coupling.nnz * self.n_space
             + int(np.count_nonzero(self.lap_levels)) * lap_nnz
         )
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two arrays or scalars have the same dtype, shape and bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    unsigned = f"u{a.dtype.itemsize}"
+    return bool(np.array_equal(a.view(unsigned), b.view(unsigned)))
 
 
 def _time_coupling(method: MethodSpec, timegrid: TimeGrid):
@@ -242,8 +274,12 @@ class SolveResult:
     for a completed solve, "infeasible" when a guarded solver refused the
     size, or "ill-conditioned" when any solver refused a system whose row 0
     overflows (AllAtOnceSystem.overflow) or the fast solver a change of
-    basis whose roundoff bound is too large; on a refusal trajectory is
-    None, timings is empty and message says why.
+    basis whose roundoff bound is too large or sparse LU a solution that
+    is not finite; on a refusal trajectory is None, timings is empty and
+    message says why. ``shared`` marks a result that took another result's
+    answer for a bitwise equal system (reuse): its trajectory is that
+    result's object, not a copy, and its timings["total"] is the time of
+    the check alone.
     """
 
     system: AllAtOnceSystem
@@ -252,6 +288,7 @@ class SolveResult:
     timings: dict = field(default_factory=dict)
     status: str = "ok"
     message: str = ""
+    shared: bool = False
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -297,3 +334,26 @@ class SolveResult:
         level0 *= scale
         norm = float(np.square(level0, out=level0).sum())
         return float(np.sqrt(total / norm))
+
+
+def reuse(
+    known: Optional[SolveResult], system: AllAtOnceSystem
+) -> Optional[SolveResult]:
+    """``known``'s answer for ``system``, or None unless they are the same system.
+
+    The pint and sparse-LU solvers call this first. The result shares
+    known's trajectory object, status and message, is marked shared, and
+    its timings["total"] is the time of the check (AllAtOnceSystem.same_as).
+    """
+    start = time.perf_counter()
+    if known is None or not known.system.same_as(system):
+        return None
+    return SolveResult(
+        system=system,
+        trajectory=known.trajectory,
+        solver=known.solver,
+        timings={"total": time.perf_counter() - start},
+        status=known.status,
+        message=known.message,
+        shared=True,
+    )

@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 from .circulant import diagonalize, from_eigenspace, gamma_condition, pack_levels
-from .methods import AllAtOnceSystem, SolveResult
+from .methods import AllAtOnceSystem, SolveResult, reuse
 from .space import shifted_solve
 
 # Largest packed block, in bytes, that solve_pint allocates; bigger systems
@@ -55,12 +55,18 @@ BLOCK_BUDGET = 2**31
 ERROR_BOUND_LIMIT = 1e-7
 
 
-def solve_pint(system: AllAtOnceSystem) -> SolveResult:
+def solve_pint(
+    system: AllAtOnceSystem, known: SolveResult | None = None
+) -> SolveResult:
     """Solve a circulant-kind all-at-once system by FFT diagonalization.
 
     Records per-phase wall clock under timings["step_a"/"step_b"/"step_c"]
     plus their sum as "total"; step A includes the diagonalization of the
     time coupling. The returned trajectory is real.
+
+    When ``known`` is a result for a bitwise equal system
+    (AllAtOnceSystem.same_as), nothing is solved: the result shares its
+    trajectory and is marked shared (methods.reuse).
 
     Three refusals come before any work, each with no trajectory, no
     timings and a message: status "ill-conditioned" when row 0 overflows
@@ -70,6 +76,9 @@ def solve_pint(system: AllAtOnceSystem) -> SolveResult:
     roundoff bound cond(Gamma) * eps_mach of the change of basis exceeds
     ERROR_BOUND_LIMIT.
     """
+    shared = reuse(known, system)
+    if shared is not None:
+        return shared
     if not system.method.kind.is_circulant:
         raise ValueError(
             f"{system.method.kind.value} has no circulant time coupling; "

@@ -150,6 +150,21 @@ def test_sparse_lu_refuses_an_overflowing_coupling(monkeypatch):
     assert "alpha 1.000e+308" in result.message
 
 
+def test_sparse_lu_refuses_a_non_finite_solution():
+    # at alpha 1e-300 the pint corner 1/(tau*alpha) is finite but the LU
+    # solution overflows; the suite's warning filter would turn a numpy
+    # warning into an error
+    grid = build_grid(1, np.pi, 64)
+    data = np.sin(grid.interior_coords()[0]) * np.exp(-1.0)
+    system = assemble(MethodKind.PINT_QBVM, 1e-300, grid, TimeGrid(1.0, 64), data)
+    result = solve_sparse_lu(system)
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None and result.timings == {}
+    assert result.message.endswith(
+        " non-finite entries (alpha 1.000e-300, tau 1.562e-02)"
+    )
+
+
 FOOTPRINT_SCRIPT = """
 import sys
 import bhcp.baseline

@@ -1,17 +1,21 @@
 """Experiment driver: scoring, seeding, config validation, CSV and profiles."""
 
+import collections
 import importlib
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import bhcp
 import bhcp.baseline
+import bhcp.pint
 from bhcp.bench import (
     ALPHA_RULES,
     CSV_COLUMNS,
@@ -202,6 +206,109 @@ def test_run_experiment_infeasible_rows(monkeypatch):
     assert math.isnan(report.wall_total_s)
 
 
+SHARED_CASES = {
+    "pint-1d": dict(example=1, methods=PINT_KINDS, solver="pint", meshes=((64, 64),)),
+    "pint-2d": dict(example=2, methods=PINT_KINDS, solver="pint", meshes=((16, 16),)),
+    "sparse-lu": dict(
+        example=1, methods=tuple(MethodKind), solver="sparse-lu", meshes=((16, 16),)
+    ),
+}
+
+
+def capture_initial_states(monkeypatch):
+    """Copies of the initial state of every bench solver call, in call order."""
+    states = []
+    for name in ("solve_pint", "solve_sparse_lu"):
+        def capture(system, *args, solver=getattr(bhcp.bench, name), **kwargs):
+            result = solver(system, *args, **kwargs)
+            states.append(result.initial_state.copy())
+            return result
+
+        monkeypatch.setattr(bhcp.bench, name, capture)
+    return states
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_shared_row_matches_a_solo_run_bitwise(monkeypatch, case):
+    # under "auto" pint-mqbvm's system is pint-qbvm's, so its row takes the
+    # answer of the row before it; a sweep of pint-mqbvm alone solves it
+    states = capture_initial_states(monkeypatch)
+    options = dict(SHARED_CASES[case], eps_values=(1e-1, 1e-3), seed=9)
+    swept = run_experiment(ExperimentConfig(**options))
+    swept_states = states[:]
+    states.clear()
+    alone = run_experiment(
+        ExperimentConfig(**dict(options, methods=(MethodKind.PINT_MQBVM,)))
+    )
+    shared = [
+        (row, state) for row, state in zip(swept, swept_states)
+        if row.method == "pint-mqbvm"
+    ]
+    assert len(shared) == len(alone) == len(states) == 2
+    for (row, state), solo, solo_state in zip(shared, alone, states):
+        assert (row.shared, solo.shared, row.status, solo.status) == (1, 0, "ok", "ok")
+        assert state.tobytes() == solo_state.tobytes()
+        # repr round-trips a float exactly, so this compares error_l2 and
+        # residual bitwise
+        for column in CSV_COLUMNS.split(","):
+            if column != "shared" and not column.startswith("wall_"):
+                assert repr(getattr(row, column)) == repr(getattr(solo, column))
+
+
+@pytest.mark.parametrize("rule, distinct", [("auto", 1), ("delta", 2)])
+def test_each_row_calls_its_solver_once_and_each_system_is_solved_once(
+    monkeypatch, rule, distinct
+):
+    # ``distinct`` is the number of different pint systems per noise draw
+    calls = collections.Counter()
+    for owner, name in (
+        (bhcp.bench, "solve_pint"),
+        (bhcp.bench, "solve_sparse_lu"),
+        (bhcp.pint, "shifted_solve"),
+        (scipy.sparse.linalg, "splu"),
+    ):
+        def count(*args, name=name, wrapped=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, count)
+    draws = 4  # two noise levels, two repeats
+    options = dict(eps_values=(1e-1, 1e-3), repeats=2, alpha_rule=rule)
+    pint = run_experiment(small_config(**options))
+    assert calls == {"solve_pint": 2 * draws, "shifted_solve": distinct * draws}
+    calls.clear()
+    lu = run_experiment(
+        small_config(methods=tuple(MethodKind), solver="sparse-lu", **options)
+    )
+    assert calls == {"solve_sparse_lu": 4 * draws, "splu": (2 + distinct) * draws}
+    assert all(r.status == "ok" for r in pint + lu)
+    assert [r.shared for r in pint] == [0, 2 - distinct] * draws
+    assert [r.shared for r in lu] == [0, 0, 0, 2 - distinct] * draws
+
+
+def traced_peak(config):
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_at_most_one_trajectory():
+    # the kept answer is dropped before a system it does not match is
+    # solved, so two kinds with different systems ("delta") peak as one
+    options = dict(
+        example=2, solver="pint", meshes=((64, 64),), eps_values=(1e-1,), seed=3
+    )
+    one_kind = ExperimentConfig(methods=PINT_KINDS[:1], **options)
+    run_experiment(one_kind)  # fills the spectrum and FFT plan caches
+    one = traced_peak(one_kind)
+    for rule in ("delta", "auto"):
+        config = ExperimentConfig(methods=PINT_KINDS, alpha_rule=rule, **options)
+        assert traced_peak(config) <= 1.1 * one, rule
+
+
 EXTREME_ALPHAS = (5e-324, 1e-323, 1e-310, 1e-300, 1e-12, 1.0, 1e300, 1e308, 1.7e308)
 
 
@@ -278,17 +385,25 @@ def test_csv_round_trip(tmp_path):
     assert all(reports_equal(a, b) for a, b in zip(reports, parsed))
     row = parsed[0]
     assert isinstance(row.seed, int) and isinstance(row.M, int)
+    assert isinstance(row.shared, int)
     assert isinstance(row.method, str) and isinstance(row.alpha, float)
     # eps = 0 gives alpha = NOISE_FREE_ALPHA, past the pint solver's
     # conditioning cut-off: a structured refusal, not an error row
     statuses = [row.status for row in parsed]
     assert statuses == ["ok", "ok", "ill-conditioned", "ill-conditioned"]
+    # under "auto" pint-mqbvm's system is pint-qbvm's: its row is shared,
+    # with the check's time and no step times
+    assert [row.shared for row in parsed] == [0, 1, 0, 0]
+    assert parsed[1].wall_total_s >= 0
+    assert all(math.isnan(v) for v in (
+        parsed[1].wall_stepA_s, parsed[1].wall_stepB_s, parsed[1].wall_stepC_s
+    ))
 
 
 def test_csv_header_is_fixed():
     assert CSV_COLUMNS == (
         "method,example,dim,M,N,eps,seed,delta,alpha,error_l2,residual,"
-        "wall_total_s,wall_stepA_s,wall_stepB_s,wall_stepC_s,status"
+        "wall_total_s,wall_stepA_s,wall_stepB_s,wall_stepC_s,shared,status"
     )
 
 
@@ -300,6 +415,7 @@ def test_csv_round_trip_with_nan_columns(tmp_path, monkeypatch):
     emit_csv(reports, path)
     parsed = parse_csv(path)
     assert parsed[0].status == "infeasible"
+    assert parsed[0].shared == 0
     assert math.isnan(parsed[0].error_l2)
     assert reports_equal(reports[0], parsed[0])
 
@@ -446,6 +562,38 @@ def test_benchmark_per_layer_report_is_finite(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run(
         [sys.executable, "-c", PER_LAYER_SCRIPT, str(tmp_path / "sweep.csv")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "perfbench")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+SHARED_ROWS_SCRIPT = """
+import sys
+import selftest  # imports run, which pins threads before numpy loads
+from selftest import harness
+from bhcp import bench
+pair = harness.Workload(
+    "tiny-pair", 1, ("pint-qbvm", "pint-mqbvm"), "pint", (32, 32), (1e-1, 1e-3),
+    2, "shared rows",
+)
+phase = harness.Phase()
+harness.measure(pair, 5, 1e-9, sys.argv[1], [phase])
+shared = sum(row.shared for row in bench.parse_csv(sys.argv[1]))
+counts = (phase.attempted, phase.ok, phase.unchecked, phase.oracle_mismatches,
+          phase.failed, shared)
+assert counts == (8, 8, 0, 0, 0, 4), counts
+"""
+
+
+def test_benchmark_checks_every_shared_row(tmp_path):
+    # A shared row still goes through its bench solver call, where the
+    # benchmark clocks it and keeps its initial state for the oracle check.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", SHARED_ROWS_SCRIPT, str(tmp_path / "sweep.csv")],
         env=dict(os.environ, PYTHONPATH=os.path.join(root, "perfbench")),
         capture_output=True,
         text=True,

@@ -65,6 +65,19 @@ def test_method_all_with_sparse_lu(tmp_path):
     assert all(r.status == "ok" for r in rows)
 
 
+def test_shared_row_line_says_shared(tmp_path, capsys):
+    # under "auto" the pint-mqbvm row takes the pint-qbvm row's answer
+    out = str(tmp_path / "rows.csv")
+    assert main(run_args(out, **{"--method": "all", "--solver": "sparse-lu"})) == 0
+    assert [row.shared for row in parse_csv(out)] == [0, 0, 0, 1]
+    lines = [
+        line.split() for line in capsys.readouterr().out.splitlines()
+        if not line.startswith("#")
+    ]
+    assert [words[-2:] for words in lines[3:]] == [["shared", "ok"]]
+    assert all(words[-2].startswith("wall=") for words in lines[:3])
+
+
 def test_bad_mesh_and_eps_exit_via_argparse(tmp_path):
     out = str(tmp_path / "rows.csv")
     for overrides in (
@@ -236,18 +249,26 @@ def test_overflowing_mqbvm_row_is_refused(tmp_path, capsys):
              "--alpha-rule": "fixed:5e-324"},
             ["ill-conditioned"],
         ),
+        (
+            # the corner 1/(tau*alpha) is finite, but the LU solution is not
+            {"--method": "all", "--solver": "sparse-lu", "--mesh": "64x64",
+             "--alpha-rule": "fixed:1e-300"},
+            ["ok", "ok", "ill-conditioned", "ill-conditioned"],
+        ),
     ],
 )
 def test_underflowing_alpha_rows_are_refused(tmp_path, capsys, overrides, statuses):
     # at these alphas the pint corner 1/(tau*alpha) or 1/alpha is inf (for
-    # pint-qbvm tau*alpha underflows to 0); those rows are refused by the
-    # solver and the run exits 0
+    # pint-qbvm tau*alpha underflows to 0), or the LU solution overflows;
+    # those rows are refused by the solver and the run exits 0 (a numpy
+    # warning would be an error under the suite's filter)
     out = str(tmp_path / "rows.csv")
-    argv = run_args(out, **{"--mesh": "8x8", "--seed": "1", **overrides})
-    assert main(argv) == 0
+    options = {"--mesh": "8x8", "--seed": "1", **overrides}
+    assert main(run_args(out, **options)) == 0
     assert [row.status for row in parse_csv(out)] == statuses
     err = capsys.readouterr().err
-    assert "bhcp: pint-mqbvm M=8 N=8 eps=0.1 ill-conditioned: " in err
+    m, n = options["--mesh"].split("x")
+    assert f"bhcp: pint-mqbvm M={m} N={n} eps=0.1 ill-conditioned: " in err
     assert "failed" not in err
 
 

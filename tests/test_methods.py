@@ -10,7 +10,14 @@ import scipy.sparse.linalg
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import NOISE_FREE_ALPHA, resolve_alpha
 from bhcp.circulant import TimeGrid
-from bhcp.methods import MethodKind, MethodSpec, SolveResult, assemble
+from bhcp.methods import (
+    AllAtOnceSystem,
+    MethodKind,
+    MethodSpec,
+    SolveResult,
+    assemble,
+    reuse,
+)
 from bhcp.pint import solve_pint
 from bhcp.space import BATCH_BYTES, build_grid, laplacian_matrix
 
@@ -224,6 +231,74 @@ def test_pint_qbvm_equals_pint_mqbvm_at_rescaled_alpha():
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(pq.rhs(), pm.rhs())
     assert pq.omega == pm.omega
+
+
+def test_same_as_is_bitwise_and_builds_no_rhs(monkeypatch):
+    def unreachable(self):
+        raise AssertionError("same_as must not build the stacked rhs")
+
+    monkeypatch.setattr(AllAtOnceSystem, "rhs", unreachable)
+    grid = build_grid(1, np.pi, 8)
+    timegrid = TimeGrid(1.0, 8)
+    data = np.random.default_rng(2).standard_normal(grid.n_interior)
+    data[0] = 0.0
+
+    def system(kind=MethodKind.PINT_QBVM, alpha=0.05, values=data, grid=grid,
+               timegrid=timegrid):
+        return assemble(kind, alpha, grid, timegrid, values)
+
+    def changed(index, value):
+        values = data.copy()
+        values[index] = value
+        return values
+
+    pq = system()
+    # the paired system, from an equal copy of the data
+    assert pq.same_as(system(MethodKind.PINT_MQBVM, timegrid.tau * 0.05, data.copy()))
+    assert system(MethodKind.QBVM).same_as(system(MethodKind.QBVM))
+    others = [
+        system(MethodKind.PINT_MQBVM),
+        system(alpha=np.nextafter(0.05, 1)),
+        system(values=changed(3, np.nextafter(data[3], np.inf))),
+        system(values=changed(0, -0.0)),  # equal as floats, not bitwise
+        system(grid=build_grid(1, 3.0, 8)),
+        system(timegrid=TimeGrid(2.0, 8)),
+        system(MethodKind.QBVM),
+    ]
+    assert not any(pq.same_as(other) or other.same_as(pq) for other in others)
+    assert not system(MethodKind.QBVM).same_as(
+        system(MethodKind.QBVM, np.nextafter(0.05, 1))
+    )
+    # neighbouring alphas whose corners 1/alpha round to the same float:
+    # only the condition divisor tells the right-hand sides apart
+    a = system(MethodKind.PINT_MQBVM, 1.9)
+    b = system(MethodKind.PINT_MQBVM, np.nextafter(1.9, 2))
+    assert a.time_coupling.data.tobytes() == b.time_coupling.data.tobytes()
+    assert not a.same_as(b)
+
+
+@pytest.mark.parametrize("solver", [solve_pint, solve_sparse_lu])
+def test_solvers_share_only_a_matching_known(solver):
+    grid = build_grid(1, np.pi, 8)
+    timegrid = TimeGrid(1.0, 8)
+    data = np.random.default_rng(4).standard_normal(grid.n_interior)
+    pq = assemble(MethodKind.PINT_QBVM, 0.05, grid, timegrid, data)
+    pm = assemble(MethodKind.PINT_MQBVM, timegrid.tau * 0.05, grid, timegrid, data)
+    known = solver(pq)
+    assert not known.shared and reuse(None, pm) is None
+    shared = solver(pm, known=known)
+    assert shared.shared and shared.system is pm
+    assert shared.trajectory is known.trajectory
+    assert (shared.solver, shared.status, shared.message) == (
+        known.solver, "ok", ""
+    )
+    assert list(shared.timings) == ["total"] and shared.timings["total"] >= 0
+    # a known of another system is checked and ignored: the answer is solved
+    other = assemble(MethodKind.PINT_MQBVM, 0.05, grid, timegrid, data)
+    solved = solver(other, known=known)
+    assert not solved.shared
+    assert np.array_equal(solved.trajectory, solver(other).trajectory)
+    assert not np.array_equal(solved.trajectory, known.trajectory)
 
 
 def test_residual_of_zero_state_is_rhs():
