@@ -205,7 +205,7 @@ def _solve(
     last: list,
 ) -> SolveResult:
     if config.solver == "spectral-oracle":
-        last.clear()  # the reference never shares
+        last.clear()  # the oracle never shares, so free the kept trajectory
         return solve_spectral_oracle(kind, alpha, grid, timegrid, data)
     system = assemble(kind, alpha, grid, timegrid, data)
     known = last[0] if last and last[0].system.same_as(system) else None
