@@ -3,10 +3,10 @@
 The sparse LU factors the explicit all-at-once matrix with no structure
 exploitation; it is the honest comparator for the fast solver's speedup
 claims and the only solver for the classic method kinds. A nonzero budget
-guards it: past the budget it refuses with a structured "infeasible" result
-rather than grinding. SuperLU (scipy.sparse.linalg) is imported by the first
-admitted solve, so a process that runs only the pint solver or the oracle
-never loads it.
+guards it: past the budget it refuses as "infeasible" rather than grinding
+(SolveResult lists every solver's refusals). SuperLU (scipy.sparse.linalg)
+is imported by the first admitted solve, so a process that runs only the
+pint solver or the oracle never loads it.
 
 The spectral closed form eliminates the stepping rows per sine mode. With
 rho = 1/(1 + tau*mu) the k-th mode of every level obeys yhat^n = rho^n *
@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .circulant import TimeGrid
-from .methods import AllAtOnceSystem, MethodKind, MethodSpec, SolveResult, reuse
+from .methods import AllAtOnceSystem, MethodKind, SolveResult, assemble, reuse
 from .space import SpatialGrid, laplacian_eigenvalues
 
 # Largest estimated nonzero count of the all-at-once matrix that
@@ -42,15 +42,14 @@ def solve_sparse_lu(
     bitwise equal system (AllAtOnceSystem.same_as), nothing is solved: the
     result shares its trajectory and is marked shared (methods.reuse).
 
-    Two refusals come first, each with no trajectory, no timings and a
-    message. A system whose row 0 overflows (AllAtOnceSystem.overflow) is
-    refused with status "ill-conditioned". When the estimated nonzero count
-    exceeds NNZ_BUDGET (or ``nnz_budget``, when given) the solve is refused
-    with status "infeasible" (the factorization would dwarf the fast
-    solver's footprint at that scale); the estimate reads shapes only, so a
-    refusal builds no matrix at all. A solution with a non-finite entry,
-    which a tiny alpha's pint corner can give, is refused after the solve
-    as "ill-conditioned". timings["total"] runs from entry, so it covers
+    Its own refusals follow the overflow check every solver shares
+    (SolveResult.refused). When the estimated nonzero count exceeds
+    NNZ_BUDGET (or ``nnz_budget``, when given) the solve is refused as
+    "infeasible" (the factorization would dwarf the fast solver's
+    footprint at that scale); the estimate reads shapes only, so a refusal
+    builds no matrix at all. A solution with a non-finite entry, which a
+    tiny alpha's pint corner can give, is refused after the solve as
+    "ill-conditioned". timings["total"] runs from entry, so it covers
     the estimate, the assembly of the matrix, its factorization and the
     finiteness check; the first admitted solve of a process also pays the
     import of scipy.sparse.linalg (about 0.1 s).
@@ -61,22 +60,13 @@ def solve_sparse_lu(
     start = time.perf_counter()
     overflow = system.overflow()
     if overflow is not None:
-        return SolveResult(
-            system=system,
-            trajectory=None,
-            solver="sparse-lu",
-            status="ill-conditioned",
-            message=overflow,
-        )
+        return SolveResult.refused(system, "sparse-lu", "ill-conditioned", overflow)
     budget = NNZ_BUDGET if nnz_budget is None else nnz_budget
     estimate = system.estimated_nnz()
     if estimate > budget:
-        return SolveResult(
-            system=system,
-            trajectory=None,
-            solver="sparse-lu",
-            status="infeasible",
-            message=f"estimated {estimate} nonzeros exceed the budget {budget}",
+        return SolveResult.refused(
+            system, "sparse-lu", "infeasible",
+            f"estimated {estimate} nonzeros exceed the budget {budget}",
         )
     import scipy.sparse.linalg
 
@@ -86,16 +76,11 @@ def solve_sparse_lu(
     solution = factor.solve(rhs)
     finite = np.isfinite(solution)
     if not finite.all():
-        return SolveResult(
-            system=system,
-            trajectory=None,
-            solver="sparse-lu",
-            status="ill-conditioned",
-            message=(
-                f"LU solution has {finite.size - np.count_nonzero(finite)} "
-                f"non-finite entries (alpha {system.method.alpha:.3e}, "
-                f"tau {system.timegrid.tau:.3e})"
-            ),
+        return SolveResult.refused(
+            system, "sparse-lu", "ill-conditioned",
+            f"LU solution has {finite.size - np.count_nonzero(finite)} "
+            f"non-finite entries (alpha {system.method.alpha:.3e}, "
+            f"tau {system.timegrid.tau:.3e})",
         )
     elapsed = time.perf_counter() - start
     return SolveResult(
@@ -119,15 +104,20 @@ def solve_spectral_oracle(
     eliminating the stepping rows leaves yhat^0_k = ghat_k / D_k with a
     method-specific D_k, then the recurrence yhat^n_k = rho_k yhat^{n-1}_k
     rebuilds the whole trajectory. D_k is strictly positive for alpha > 0.
-    Two refusals, each with status "ill-conditioned", no trajectory and a
-    message, cover what has no finite answer here: a system whose row 0
-    overflows (AllAtOnceSystem.overflow), and a D_k past the largest float
-    (the pint kinds' alpha*(1 + tau*mu_k) at alpha near it), whose quotient
-    would read as zero. The result carries the assembled system, which also checks the
-    shape of ``data``, so residual checks are uniform across solvers.
+    After the overflow check every solver shares, made before any
+    mode-sized array exists, its own refusal is "ill-conditioned" for a D_k
+    past the largest float (the pint kinds' alpha*(1 + tau*mu_k) at alpha
+    near it), whose quotient would read as zero (SolveResult.refused). The
+    result carries the assembled system, which also checks the shape of
+    ``data``, so residual checks are uniform across solvers.
     """
-    system = AllAtOnceSystem(MethodSpec(kind, alpha), grid, timegrid, data)
+    system = assemble(kind, alpha, grid, timegrid, data)
     start = time.perf_counter()
+    overflow = system.overflow()
+    if overflow is not None:
+        return SolveResult.refused(
+            system, "spectral-oracle", "ill-conditioned", overflow
+        )
     spectrum = laplacian_eigenvalues(grid)
     mu = spectrum.mode_eigenvalues
     tau = timegrid.tau
@@ -142,19 +132,11 @@ def solve_spectral_oracle(
             denom = alpha * (1.0 + tau * mu) + decay
         else:
             denom = alpha * (mu + 1.0 / tau) + decay
-    message = system.overflow()
-    if message is None and not np.isfinite(denom.max()):
-        message = (
+    if not np.isfinite(denom.max()):
+        return SolveResult.refused(
+            system, "spectral-oracle", "ill-conditioned",
             f"per-mode denominator D_k = {denom.max()} overflows "
-            f"(alpha {alpha:.3e}, tau {tau:.3e})"
-        )
-    if message is not None:
-        return SolveResult(
-            system=system,
-            trajectory=None,
-            solver="spectral-oracle",
-            status="ill-conditioned",
-            message=message,
+            f"(alpha {alpha:.3e}, tau {tau:.3e})",
         )
     trajectory = np.empty((timegrid.n_levels, grid.n_interior))
     # Filled by the recurrence and transformed in place, so the trajectory

@@ -6,11 +6,9 @@ One subcommand, ``run``, executes an experiment matrix and writes a CSV:
         --mesh 1024x1024 --eps 1e-1,1e-3 --seed 7 --out results.csv
 
 Exit status is 0 when every row completed or was refused in a structured
-way (refusals are expected outcomes: status=infeasible from a size guard,
-status=ill-conditioned from the pint solver's conditioning cut-off, from
-any solver when row 0 of the system overflows, or from the oracle when a
-per-mode denominator does), 1 when any row errored, and 2 when the
-configuration or an output path was rejected before any run. A
+way (refusals are expected outcomes; SolveResult lists them, and README's
+exit-code paragraph says when each happens), 1 when any row errored, and 2
+when the configuration or an output path was rejected before any run. A
 reproducibility banner echoing the resolved configuration is printed
 before the runs.
 """

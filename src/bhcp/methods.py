@@ -271,15 +271,22 @@ class SolveResult:
     initial state, the deliverable of the whole computation. ``timings`` maps
     phase names to wall-clock seconds ("total" on every completed solve;
     the fast solver adds "step_a"/"step_b"/"step_c"). ``status`` is "ok"
-    for a completed solve, "infeasible" when a guarded solver refused the
-    size, or "ill-conditioned" when any solver refused a system whose row 0
-    overflows (AllAtOnceSystem.overflow) or the fast solver a change of
-    basis whose roundoff bound is too large or sparse LU a solution that
-    is not finite; on a refusal trajectory is None, timings is empty and
-    message says why. ``shared`` marks a result that took another result's
-    answer for a bitwise equal system (reuse): its trajectory is that
-    result's object, not a copy, and its timings["total"] is the time of
-    the check alone.
+    for a completed solve; a refusal (refused()) has no trajectory, empty
+    timings and a message naming the number over its limit. The refusals,
+    in the order each solver checks them:
+
+    - every solver: "ill-conditioned" when row 0 overflows
+      (AllAtOnceSystem.overflow), before anything is allocated;
+    - pint: "infeasible" for a packed block over BLOCK_BUDGET bytes, then
+      "ill-conditioned" for cond(Gamma) * eps_mach over ERROR_BOUND_LIMIT;
+    - sparse LU: "infeasible" for estimated nonzeros over NNZ_BUDGET, and
+      after the solve "ill-conditioned" for a non-finite solution;
+    - spectral oracle: "ill-conditioned" for a per-mode denominator past
+      the largest float.
+
+    ``shared`` marks a result that took another result's answer for a
+    bitwise equal system (reuse): its trajectory is that result's object,
+    not a copy, and its timings["total"] is the time of the check alone.
     """
 
     system: AllAtOnceSystem
@@ -290,6 +297,19 @@ class SolveResult:
     message: str = ""
     shared: bool = False
 
+    @classmethod
+    def refused(
+        cls, system: AllAtOnceSystem, solver: str, status: str, message: str
+    ) -> "SolveResult":
+        """A refusal: no trajectory, empty timings, not shared."""
+        return cls(
+            system=system,
+            trajectory=None,
+            solver=solver,
+            status=status,
+            message=message,
+        )
+
     @property
     def initial_state(self) -> np.ndarray:
         if self.trajectory is None:
@@ -298,6 +318,8 @@ class SolveResult:
 
     def residual_norm(self) -> float:
         """Relative residual ||rhs - A y|| / ||rhs||, nan for refused solves.
+
+        A zero rhs gives 0.0 for a zero residual and inf for any other.
 
         Row 0, the final condition, is K[0] y minus the Laplacian of y^0 when
         that level carries it, minus the condition right-hand side. Rows 1..N
@@ -333,6 +355,8 @@ class SolveResult:
             total += float(np.square(part, out=part).sum())
         level0 *= scale
         norm = float(np.square(level0, out=level0).sum())
+        if norm == 0.0:
+            return 0.0 if total == 0.0 else float("inf")
         return float(np.sqrt(total / norm))
 
 

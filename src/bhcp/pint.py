@@ -26,10 +26,10 @@ shifted_solve spreads them over the CPUs the process may run on for that one
 call, and the result is bitwise the same as on one CPU.
 
 The whole solver runs in O(n_space * n_levels * (log n_levels + log M)), and
-its peak memory is about one trajectory. Three refusals come before
-anything is allocated: a row 0 that overflows (the one check every solver
-shares), a block over BLOCK_BUDGET, and a change of basis whose roundoff
-bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT.
+its peak memory is about one trajectory. After the overflow check every
+solver shares, it refuses a block over BLOCK_BUDGET and a change of basis
+whose roundoff bound cond(Gamma) * eps_mach is over ERROR_BOUND_LIMIT, all
+before anything is allocated; SolveResult lists every solver's refusals.
 """
 
 from __future__ import annotations
@@ -68,13 +68,10 @@ def solve_pint(
     (AllAtOnceSystem.same_as), nothing is solved: the result shares its
     trajectory and is marked shared (methods.reuse).
 
-    Three refusals come before any work, each with no trajectory, no
-    timings and a message: status "ill-conditioned" when row 0 overflows
-    (AllAtOnceSystem.overflow, checked before omega is formed), status
-    "infeasible" when the (n_levels, ceil(n_space/2)) complex block would
-    exceed BLOCK_BUDGET bytes, and status "ill-conditioned" when the
-    roundoff bound cond(Gamma) * eps_mach of the change of basis exceeds
-    ERROR_BOUND_LIMIT.
+    After the overflow check every solver shares, made before omega is
+    formed, its own refusals come before any work: a complex block of shape
+    (n_levels, ceil(n_space/2)) over BLOCK_BUDGET bytes, then a roundoff
+    bound over ERROR_BOUND_LIMIT (SolveResult lists them).
     """
     shared = reuse(known, system)
     if shared is not None:
@@ -84,28 +81,23 @@ def solve_pint(
             f"{system.method.kind.value} has no circulant time coupling; "
             f"use the sparse baseline"
         )
+    overflow = system.overflow()
+    if overflow is not None:
+        return SolveResult.refused(system, "pint", "ill-conditioned", overflow)
     n_levels, n_space = system.n_levels, system.n_space
     width = (n_space + 1) // 2
     block_nbytes = 16 * n_levels * width
-    message = system.overflow()
-    status = "ill-conditioned"
-    if message is None and block_nbytes > BLOCK_BUDGET:
-        status = "infeasible"
-        message = f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}"
-    elif message is None:
-        error_bound = gamma_condition(n_levels, system.omega) * np.finfo(float).eps
-        if error_bound > ERROR_BOUND_LIMIT:
-            message = (
-                f"error bound cond(Gamma)*eps = {error_bound:.3e} exceeds "
-                f"{ERROR_BOUND_LIMIT:.0e}"
-            )
-    if message is not None:
-        return SolveResult(
-            system=system,
-            trajectory=None,
-            solver="pint",
-            status=status,
-            message=message,
+    if block_nbytes > BLOCK_BUDGET:
+        return SolveResult.refused(
+            system, "pint", "infeasible",
+            f"block of {block_nbytes} bytes exceeds the budget {BLOCK_BUDGET}",
+        )
+    error_bound = gamma_condition(n_levels, system.omega) * np.finfo(float).eps
+    if error_bound > ERROR_BOUND_LIMIT:
+        return SolveResult.refused(
+            system, "pint", "ill-conditioned",
+            f"error bound cond(Gamma)*eps = {error_bound:.3e} exceeds "
+            f"{ERROR_BOUND_LIMIT:.0e}",
         )
 
     start = time.perf_counter()

@@ -157,13 +157,11 @@ def apply_laplacian(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-@functools.lru_cache(maxsize=8)
 def laplacian_matrix(grid: SpatialGrid) -> scipy.sparse.csr_matrix:
-    """The stencil of apply_laplacian as a CSR matrix, cached per grid.
+    """The stencil of apply_laplacian as a CSR matrix, built anew per call.
 
     The 1D matrix is tridiagonal; the 2D one is its Kronecker sum
-    kron(lap1, I) + kron(I, lap1). Each matrix holds about 2*dim+1 fields,
-    so fewer grids are kept than by laplacian_eigenvalues.
+    kron(lap1, I) + kron(I, lap1).
     """
     m = grid.num_cells - 1
     inv_h2 = 1.0 / grid.h**2

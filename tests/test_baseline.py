@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 import bhcp.baseline
+import bhcp.methods
 from bhcp.baseline import NNZ_BUDGET, solve_sparse_lu, solve_spectral_oracle
 from bhcp.circulant import TimeGrid
 from bhcp.methods import AllAtOnceSystem, MethodKind, assemble
@@ -117,12 +118,18 @@ def test_default_budget_refuses_2d_benchmark_scale():
     assert result.status == "infeasible"
 
 
-def test_refused_sparse_lu_builds_nothing():
+def test_refused_sparse_lu_builds_nothing(monkeypatch):
     grid = build_grid(2, np.pi, 512)
     system = assemble(
         MethodKind.QBVM, 0.1, grid, TimeGrid(1.0, 512), np.zeros(grid.n_interior)
     )
-    laplacian_matrix.cache_clear()
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return laplacian_matrix(grid)
+
+    monkeypatch.setattr(bhcp.methods, "laplacian_matrix", counted)
     tracemalloc.start()
     try:
         result = solve_sparse_lu(system)
@@ -130,7 +137,7 @@ def test_refused_sparse_lu_builds_nothing():
     finally:
         tracemalloc.stop()
     assert result.status == "infeasible"
-    assert laplacian_matrix.cache_info().currsize == 0
+    assert calls == []
     assert peak < 1024**2
 
 
@@ -272,6 +279,29 @@ def test_oracle_refuses_an_overflowing_denominator(kind):
     assert result.message == (
         "per-mode denominator D_k = inf overflows (alpha 1.000e+308, tau 1.250e-01)"
     )
+
+
+@pytest.mark.parametrize(
+    "kind, alpha", [(MethodKind.MQBVM, 1e308), (MethodKind.PINT_QBVM, 1e-323)]
+)
+def test_oracle_refuses_an_overflowing_row_0_before_any_work(kind, alpha):
+    # mqbvm's alpha/tau and the pint corner 1/(tau*alpha) overflow; the
+    # refusal comes before the spectrum, rho or the denominators exist
+    grid = build_grid(2, np.pi, 256)
+    timegrid = TimeGrid(1.0, 8)
+    data = np.random.default_rng(6).standard_normal(grid.n_interior)
+    laplacian_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        result = solve_spectral_oracle(kind, alpha, grid, timegrid, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.nbytes
+    assert result.status == "ill-conditioned"
+    assert result.trajectory is None and result.timings == {}
+    assert result.message == result.system.overflow()
+    assert np.isnan(result.residual_norm())
 
 
 def test_oracle_validates_data_shape():

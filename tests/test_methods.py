@@ -1,5 +1,7 @@
 """Method definitions, omega values, and all-at-once system assembly."""
 
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+import bhcp
 from bhcp.baseline import solve_sparse_lu, solve_spectral_oracle
 from bhcp.bench import NOISE_FREE_ALPHA, resolve_alpha
 from bhcp.circulant import TimeGrid
@@ -442,6 +445,34 @@ def test_every_solver_refuses_an_overflowing_condition_rhs(solver):
         "condition right-hand side max|g|/divisor = inf overflows "
         "(alpha 1.000e-10, tau 1.250e-01)"
     )
+
+
+def test_only_solve_result_refused_builds_a_refusal():
+    # A lint over the package source: a result with trajectory=None is a
+    # refusal, and every refusal is built by SolveResult.refused, so its
+    # record stays one decision.
+    sites, inside = [], 0
+    for path in sorted(pathlib.Path(bhcp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constructor = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SolveResult":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "refused":
+                        constructor.update(map(id, ast.walk(item)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(
+                keyword.arg == "trajectory"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is None
+                for keyword in node.keywords
+            ):
+                if id(node) in constructor:
+                    inside += 1
+                else:
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
+    assert inside == 1
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -13,7 +13,6 @@ from bhcp import space
 from bhcp.space import (
     BATCH_BYTES,
     SingularShiftError,
-    SpatialGrid,
     SpatialSpectrum,
     apply_laplacian,
     build_grid,
@@ -85,16 +84,6 @@ def test_grid_norm_of_values_whose_squares_overflow(dim):
     huge = grid_norm(np.ldexp(values, shift), grid)
     assert np.isfinite(huge)
     assert huge == grid.h ** (dim / 2.0) * np.ldexp(np.linalg.norm(values), shift)
-
-
-@pytest.mark.parametrize("dim, cells", [(1, 9), (2, 6)])
-def test_laplacian_matrix_is_cached_per_grid(dim, cells):
-    grid = build_grid(dim, np.pi, cells)
-    same = SpatialGrid(grid.dim, grid.length, grid.num_cells)
-    assert laplacian_matrix(grid) is laplacian_matrix(same)
-    assert laplacian_matrix(grid) is not laplacian_matrix(
-        SpatialGrid(grid.dim, grid.length, grid.num_cells + 1)
-    )
 
 
 def test_smallest_eigenvalue_closed_form():
