@@ -41,7 +41,6 @@ from .methods import (
 )
 from .pint import BLOCK_BUDGET, solve_pint
 from .space import (
-    SingularShiftError,
     SpatialGrid,
     SpatialSpectrum,
     apply_laplacian,
@@ -49,7 +48,6 @@ from .space import (
     grid_norm,
     laplacian_eigenvalues,
     laplacian_matrix,
-    shifted_solve,
 )
 
 __version__ = "0.1.0"

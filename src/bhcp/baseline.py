@@ -24,7 +24,7 @@ import numpy as np
 
 from .circulant import TimeGrid
 from .methods import AllAtOnceSystem, MethodKind, SolveResult, assemble, reuse
-from .space import SpatialGrid, laplacian_eigenvalues
+from .space import SpatialGrid, laplacian_eigenvalues, largest_eigenvalue
 
 # Largest estimated nonzero count of the all-at-once matrix that
 # solve_sparse_lu factors; bigger systems are refused as infeasible.
@@ -107,7 +107,8 @@ def solve_spectral_oracle(
     After the overflow check every solver shares, made before any
     mode-sized array exists, its own refusal is "ill-conditioned" for a D_k
     past the largest float (the pint kinds' alpha*(1 + tau*mu_k) at alpha
-    near it), whose quotient would read as zero (SolveResult.refused). The
+    near it), whose quotient would read as zero (SolveResult.refused); it is
+    decided at the largest eigenvalue alone, before the spectrum exists. The
     result carries the assembled system, which also checks the shape of
     ``data``, so residual checks are uniform across solvers.
     """
@@ -118,26 +119,17 @@ def solve_spectral_oracle(
         return SolveResult.refused(
             system, "spectral-oracle", "ill-conditioned", overflow
         )
-    spectrum = laplacian_eigenvalues(grid)
-    mu = spectrum.mode_eigenvalues
-    tau = timegrid.tau
-    rho = 1.0 / (1.0 + tau * mu)
-    decay = rho**timegrid.num_steps
-    with np.errstate(over="ignore"):
-        if kind is MethodKind.QBVM:
-            denom = alpha + decay
-        elif kind is MethodKind.MQBVM:
-            denom = alpha * mu * rho + decay
-        elif kind is MethodKind.PINT_QBVM:
-            denom = alpha * (1.0 + tau * mu) + decay
-        else:
-            denom = alpha * (mu + 1.0 / tau) + decay
-    if not np.isfinite(denom.max()):
+    # A D_k overflows only through its alpha term, which does not fall as mu
+    # grows, and the decay adds at most 1: the largest eigenvalue decides.
+    top, _ = _denominators(kind, alpha, timegrid, largest_eigenvalue(grid))
+    if not np.isfinite(top[0]):
         return SolveResult.refused(
             system, "spectral-oracle", "ill-conditioned",
-            f"per-mode denominator D_k = {denom.max()} overflows "
-            f"(alpha {alpha:.3e}, tau {tau:.3e})",
+            f"per-mode denominator D_k = {top[0]} overflows "
+            f"(alpha {alpha:.3e}, tau {timegrid.tau:.3e})",
         )
+    spectrum = laplacian_eigenvalues(grid)
+    denom, rho = _denominators(kind, alpha, timegrid, spectrum.mode_eigenvalues)
     trajectory = np.empty((timegrid.n_levels, grid.n_interior))
     # Filled by the recurrence and transformed in place, so the trajectory
     # is the only full-size array.
@@ -152,3 +144,20 @@ def solve_spectral_oracle(
         solver="spectral-oracle",
         timings={"total": elapsed},
     )
+
+
+def _denominators(kind: MethodKind, alpha: float, timegrid: TimeGrid, mu):
+    """The oracle's D_k and rho_k = 1/(1 + tau*mu_k) for the eigenvalues mu."""
+    tau = timegrid.tau
+    rho = 1.0 / (1.0 + tau * mu)
+    decay = rho**timegrid.num_steps
+    with np.errstate(over="ignore"):
+        if kind is MethodKind.QBVM:
+            denom = alpha + decay
+        elif kind is MethodKind.MQBVM:
+            denom = alpha * mu * rho + decay
+        elif kind is MethodKind.PINT_QBVM:
+            denom = alpha * (1.0 + tau * mu) + decay
+        else:
+            denom = alpha * (mu + 1.0 / tau) + decay
+    return denom, rho

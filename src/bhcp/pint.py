@@ -15,7 +15,10 @@ the trajectory; circulant holds its layout (pack_levels, from_eigenspace).
   a real field z_{N-j} = conj(z_j). Only the first ceil((N+1)/2) levels are
   solved, by one call of space.shifted_solve that transforms the field once;
   circulant.pack_levels writes each of its batches, and the mirror levels,
-  into W from the solving thread's scratch.
+  into W from the solving thread's scratch. No shift s needs a check: for
+  n = N+1 levels d_j = 1 - |omega|^(1/n) e^(i pi (2j+1)/n), so |s + mu_k|
+  >= |s| if Re s >= 0 and |Im s| >= |s| sin(pi/n)/2 otherwise; BLOCK_BUDGET
+  keeps n <= 2**27, so every |s + mu_k| is above 1e-8 |s|.
 - Step C rotates back with one in-place FFT along the time axis and one
   pass that applies Gamma^{-1} (circulant.from_eigenspace); the float64 view
   of W is then the real trajectory. The FFT runs on scipy's workers, the

@@ -3,9 +3,9 @@
 Everything here acts on interior-node vectors only: homogeneous Dirichlet
 values are eliminated, so a grid with M subdivisions per edge carries
 (M-1)**dim unknowns. The discrete Laplacian diagonalizes in the orthonormal
-sine basis, which gives O(N log M) solves of (s*I - lap) for arbitrary
-complex shifts s. Those shifted solves are the spatial kernel of every
-solver in this package.
+sine basis, which gives O(N log M) solves of (s*I - lap) for complex
+shifts s, the spatial kernel of the pint solver. No shift is checked: the
+caller keeps each s away from every -mu_k (shifted_solve gives the bound).
 
 The module also holds the one split of a time-major space-time block into
 batches of time levels, level_batches. shifted_solve spreads its batches
@@ -49,10 +49,6 @@ def level_batches(start: int, stop: int, row_nbytes: int) -> list:
     """
     step = max(1, BATCH_BYTES // max(row_nbytes, 1))
     return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-
-
-class SingularShiftError(ArithmeticError):
-    """A shifted operator s*I - lap is numerically singular for this grid."""
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,7 @@ def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:
     1D eigenvalues are (4/h**2) sin(k pi / (2M))**2 for k = 1..M-1; the 2D
     spectrum is all pairwise sums. Results are cached per grid.
     """
-    k = np.arange(1, grid.num_cells)
-    mu1 = (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * grid.num_cells)) ** 2
+    mu1 = _axis_eigenvalues(grid, np.arange(1, grid.num_cells))
     mode_mu = functools.reduce(np.add.outer, [mu1] * grid.dim).ravel()
     return SpatialSpectrum(
         grid=grid,
@@ -232,28 +227,14 @@ def laplacian_eigenvalues(grid: SpatialGrid) -> SpatialSpectrum:
     )
 
 
-def _check_shifts(shifts: np.ndarray, spectrum: SpatialSpectrum) -> None:
-    """Reject shifts s for which some |s + mu_k| is negligibly small.
+def largest_eigenvalue(grid: SpatialGrid) -> np.ndarray:
+    """The spectrum's max, mode M-1's on every axis, as a 1-element array."""
+    return grid.dim * _axis_eigenvalues(grid, np.array([grid.num_cells - 1]))
 
-    Rounded addition and abs are monotone in mu, so over the ascending
-    spectrum the smallest |s + mu_k| sits at one of the two eigenvalues next
-    to -Re s: the decision is that of a scan over all modes, in O(log M)
-    per shift.
-    """
-    eigenvalues = spectrum.eigenvalues
-    above = np.searchsorted(eigenvalues, -shifts.real)
-    below = np.maximum(above - 1, 0)
-    np.minimum(above, eigenvalues.size - 1, out=above)
-    nearest = np.minimum(
-        np.abs(shifts + eigenvalues[below]), np.abs(shifts + eigenvalues[above])
-    )
-    bad = nearest <= 1e-14 * np.abs(shifts)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise SingularShiftError(
-            f"shift {j} ({shifts[j]}) lies within 1e-14*|s| of an eigenvalue "
-            f"of the Laplacian; the shifted operator is numerically singular"
-        )
+
+def _axis_eigenvalues(grid: SpatialGrid, k: np.ndarray) -> np.ndarray:
+    """The 1D eigenvalues (4/h**2) sin(k pi / (2M))**2 of -lap for modes k."""
+    return (4.0 / grid.h**2) * np.sin(k * np.pi / (2.0 * grid.num_cells)) ** 2
 
 
 def shifted_solve(
@@ -268,18 +249,20 @@ def shifted_solve(
     The batches cover disjoint row ranges, and calls from different threads
     may overlap in time.
 
-    The shifts are checked once and rhs is sine-transformed once; then each
-    batch of rows divides those coefficients by (s + mu_k) in a scratch
-    array of its thread, at most BATCH_BYTES, and transforms back in place,
-    exact up to roundoff, O(k N log M). The batches are dealt round-robin
-    into one share per CPU of the process (at most one per batch); the
-    calling thread solves the first share and helper threads, started for
-    this call only, the others. Every helper has finished when this returns
-    or raises.
+    The caller keeps every |s + mu_k| away from 0: nothing is checked, and
+    a singular shift gives a divide warning and a non-finite row. The shifts
+    d_j/tau of pint.solve_pint meet, for every eigenvalue mu > 0 of -lap,
+    |s + mu| >= |s| when Re s >= 0, and otherwise
+    |s + mu|/|s| >= sin(pi/n)/2 for n time levels, which BLOCK_BUDGET caps
+    at 2**27, so above 1e-8.
 
-    Raises:
-        SingularShiftError: some |s + mu_k| is below 1e-14*|s|; the message
-            names the index of the first such shift.
+    rhs is sine-transformed once; then each batch of rows divides those
+    coefficients by (s + mu_k) in a scratch array of its thread, at most
+    BATCH_BYTES, and transforms back in place, exact up to roundoff,
+    O(k N log M). The batches are dealt round-robin into one share per CPU
+    of the process (at most one per batch); the calling thread solves the
+    first share and helper threads, started for this call only, the others.
+    Every helper has finished when this returns or raises.
     """
     rhs = np.asarray(rhs)
     if rhs.shape != (grid.n_interior,):
@@ -288,7 +271,6 @@ def shifted_solve(
     if shifts.ndim != 1:
         raise ValueError(f"shifts must be 1-D, got shape {shifts.shape}")
     spectrum = laplacian_eigenvalues(grid)
-    _check_shifts(shifts, spectrum)
     coeffs = spectrum.transform(rhs)
     bounds = level_batches(0, shifts.size, grid.n_interior * shifts.itemsize)
 

@@ -281,6 +281,26 @@ def test_oracle_refuses_an_overflowing_denominator(kind):
     )
 
 
+@pytest.mark.parametrize("kind", [MethodKind.PINT_QBVM, MethodKind.PINT_MQBVM])
+def test_oracle_refuses_an_overflowing_denominator_before_any_work(kind):
+    # decided at the largest eigenvalue, before the spectrum, rho or the
+    # denominators exist
+    grid = build_grid(2, np.pi, 256)
+    data = np.random.default_rng(7).standard_normal(grid.n_interior)
+    laplacian_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        result = solve_spectral_oracle(kind, 1e308, grid, TimeGrid(1.0, 8), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.nbytes
+    assert result.system.overflow() is None
+    assert result.message == (
+        "per-mode denominator D_k = inf overflows (alpha 1.000e+308, tau 1.250e-01)"
+    )
+
+
 @pytest.mark.parametrize(
     "kind, alpha", [(MethodKind.MQBVM, 1e308), (MethodKind.PINT_QBVM, 1e-323)]
 )

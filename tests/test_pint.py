@@ -21,12 +21,7 @@ from bhcp.bench import ExperimentConfig, run_experiment
 from bhcp.circulant import TimeGrid, diagonalize, from_eigenspace, gamma_condition
 from bhcp.methods import MethodKind, assemble
 from bhcp.pint import solve_pint
-from bhcp.space import (
-    SingularShiftError,
-    build_grid,
-    laplacian_eigenvalues,
-    shifted_solve,
-)
+from bhcp.space import build_grid, laplacian_eigenvalues, shifted_solve
 
 from banded_reference import banded_solve
 from circulant_reference import pack, to_eigenspace
@@ -431,24 +426,75 @@ def test_step_b_sine_mode_closed_form():
     assert np.allclose(out, expected, atol=1e-13)
 
 
-def test_step_b_reports_failing_column():
-    # vector-shift solves name the index of the offending shift
-    grid = build_grid(1, np.pi, 8)
-    mu1 = laplacian_eigenvalues(grid).eigenvalues[0]
-    shifts = np.array([1.0, 2.0, -mu1, 4.0])
-    with pytest.raises(SingularShiftError, match="shift 2 "):
-        solve_shifts(grid, shifts, np.ones(7))
+def nearest_mode_distance(shifts, eigenvalues):
+    """min_k |s + mu_k| for each shift, over an ascending spectrum.
+
+    Rounded addition and abs are monotone in mu, so the smallest |s + mu_k|
+    sits at one of the two eigenvalues next to -Re s: a full scan's answer
+    in O(log M) per shift.
+    """
+    above = np.searchsorted(eigenvalues, -shifts.real)
+    below = np.maximum(above - 1, 0)
+    np.minimum(above, eigenvalues.size - 1, out=above)
+    return np.minimum(
+        np.abs(shifts + eigenvalues[below]), np.abs(shifts + eigenvalues[above])
+    )
 
 
-def test_step_b_reports_index_in_a_late_batch():
-    # 40 levels of 1023 complex values span two pooled batches; the index
-    # is the shift's place in the whole vector, not in its batch
-    grid = build_grid(1, np.pi, 1024)
-    mu = laplacian_eigenvalues(grid).eigenvalues
-    shifts = np.linspace(1.0, 40.0, 40) + 1.0j
-    shifts[37] = -mu[100]
-    with pytest.raises(SingularShiftError, match="^shift 37 "):
-        solve_shifts(grid, shifts, np.ones(1023))
+def edge_omegas(n):
+    """The negative omegas of largest and smallest modulus that n levels admit."""
+    eps = np.finfo(float).eps
+    scale = (bhcp.pint.ERROR_BOUND_LIMIT / eps) ** (n / (n - 1))
+    edges = []
+
+    def admitted(omega):
+        return gamma_condition(n, omega) * eps <= bhcp.pint.ERROR_BOUND_LIMIT
+
+    for omega, outward in ((-scale, -np.inf), (-1.0 / scale, 0.0)):
+        while not admitted(omega):
+            omega = np.nextafter(omega, -1.0)
+        while admitted(np.nextafter(omega, outward)):
+            omega = np.nextafter(omega, outward)
+        edges.append(omega)
+    return edges
+
+
+def test_step_b_shifts_keep_their_margin_from_the_spectrum(monkeypatch):
+    # shifted_solve checks no shift; solve_pint's shifts d_j/tau stay away
+    # from every -mu_k by the bound in its docstring, at the corners of what
+    # the error bound and the block budget admit.
+    seen = []
+    monkeypatch.setattr(
+        bhcp.pint, "shifted_solve", lambda grid, shifts, rhs, write: seen.append(shifts)
+    )
+    system = pint_system(n=8)
+    solve_pint(system)
+    d = diagonalize(9, system.omega).eigenvalues
+    assert np.array_equal(seen[0], d[:5] / system.timegrid.tau)
+    n_cap = bhcp.pint.BLOCK_BUDGET // 16
+    assert np.sin(np.pi / n_cap) / 2 > 1e-8
+    spectra = [
+        laplacian_eigenvalues(build_grid(dim, np.pi, m)).eigenvalues
+        for dim, m in [(1, 2), (1, 8), (1, 4096), (2, 64)]
+    ]
+    left = 0
+    for n in (2, 3, 1025, 2**20 + 1):
+        bound = np.sin(np.pi / n) / 2
+        for omega in edge_omegas(n):
+            d = diagonalize(n, omega).eigenvalues[: (n + 1) // 2]
+            for tau in (1e-3, 1.0):
+                shifts = d / tau
+                right = shifts.real >= 0
+                left += np.count_nonzero(~right)
+                for eigenvalues in spectra:
+                    distance = nearest_mode_distance(shifts, eigenvalues)
+                    if shifts.size * eigenvalues.size <= 2**20:
+                        scan = np.abs(np.add.outer(shifts, eigenvalues)).min(axis=1)
+                        assert np.array_equal(distance, scan)
+                    margin = distance / np.abs(shifts)
+                    assert np.all(margin[right] >= 1.0)
+                    assert np.all(margin[~right] >= bound), (n, omega, tau)
+    assert left > 0
 
 
 @pytest.mark.parametrize(
